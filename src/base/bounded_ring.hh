@@ -2,10 +2,12 @@
  * @file
  * Fixed-capacity FIFO ring over a power-of-two slot array.
  *
- * A drop-in for the bounded std::deque uses on the simulator's hot path
- * (e.g. the fetch queue): no per-push allocation, and slot addresses are
- * stable while an element is live. Capacity is fixed at construction;
- * pushing past it is a programming error (svw_assert).
+ * A drop-in for the bounded std::deque / std::vector queues on the
+ * simulator's hot path (the fetch queue, the LSU's LQ/SQ): no per-push
+ * allocation, O(1) pops at both ends, and slot addresses are stable
+ * while an element is live. Index 0 is the oldest element. Capacity is
+ * fixed at construction; pushing past it is a programming error
+ * (svw_assert).
  */
 
 #ifndef SVW_BASE_BOUNDED_RING_HH
@@ -20,7 +22,7 @@
 
 namespace svw {
 
-/** Bounded FIFO; push at the back, pop at the front. */
+/** Bounded FIFO; push at the back, pop at either end. */
 template <typename T>
 class BoundedRing
 {
@@ -49,12 +51,22 @@ class BoundedRing
     T &front() { return slots[headPos & mask]; }
     const T &front() const { return slots[headPos & mask]; }
     T &back() { return slots[(headPos + count - 1) & mask]; }
+    const T &back() const { return slots[(headPos + count - 1) & mask]; }
+
+    /** The @p i-th oldest element (0 = front). */
+    T &operator[](std::size_t i) { return slots[(headPos + i) & mask]; }
+    const T &operator[](std::size_t i) const
+    {
+        return slots[(headPos + i) & mask];
+    }
 
     void pop_front()
     {
         ++headPos;
         --count;
     }
+
+    void pop_back() { --count; }
 
     void clear()
     {

@@ -45,7 +45,7 @@ Core::Core(const CoreParams &p, const Program &program,
              // (RLE checkpoint recovery).
              2 * p.robEntries),
       rob(p.robEntries),
-      iq(p.iqEntries),
+      iq(p.iqEntries, rob.ringSlots()),
       svw(p.svw, reg),
       lsu(p.lsu, committedMem, svw, reg),
       rex(p.rex, committedMem, svw, dcachePort, reg),
@@ -72,6 +72,7 @@ Core::Core(const CoreParams &p, const Program &program,
     archMap.fill(0);
     for (RegIndex a = 0; a < numArchRegs; ++a)
         archMap[a] = rename.map(a);
+    lsu.setSqWakeTarget(&iq);
 
     retired.bind(&hot.retired);
     retiredLoads.bind(&hot.retiredLoads);
@@ -292,17 +293,18 @@ Core::issueStage()
         return true;
     };
 
-    // In-place oldest-first scan: issue tombstones the slot under the
-    // scan (indices never shift mid-cycle; squash only pops the young
-    // suffix, and the scan breaks right after any squash). Sleep state,
-    // issue class, and the gating renamed sources are read from the
-    // compact IQ entry mirror; the DynInst itself is touched only when
-    // every register gate passes and the entry might really issue.
-    // nextAwake reads the live bitmap, so consumers woken by an issue
-    // earlier in this very scan (always at higher slots: age order)
-    // are visited this cycle, exactly like the full walk.
-    for (std::size_t idx = iq.nextAwake(0); idx != IssueQueue::npos;
-         idx = iq.nextAwake(idx + 1)) {
+    // Oldest-first scan over stable slots (ROB ring slots, walked from
+    // the ROB head): an issue only frees its own slot, a squash frees
+    // only the young suffix, and the scan breaks right after any
+    // squash. Sleep state, issue class, and the gating renamed sources
+    // are read from the compact IQ entry mirror; the DynInst itself is
+    // touched only when every register gate passes and the entry might
+    // really issue. The scan reads the live bitmap, so entries woken
+    // by an issue earlier in this very scan (always younger: later in
+    // age order) are visited this cycle, exactly like the full walk.
+    const std::size_t head = rob.headSlot();
+    for (std::size_t idx = iq.firstAwake(head); idx != IssueQueue::npos;
+         idx = iq.nextAwake(idx, head)) {
         if (globalUsed >= prm.issueWidth)
             break;
         if (intUsed >= prm.intIssue && loadUsed >= prm.loadIssue &&
@@ -310,8 +312,6 @@ Core::issueStage()
             break;  // every class cap saturated: nothing more can issue
         }
         IssueQueue::Entry &e = iq.slotRef(idx);
-        if (!e.inst)
-            continue;  // tombstone
         if (e.sleepRetry > now) {
             // Spuriously woken (stale record): value still in flight;
             // go back to sleep on the recorded arrival cycle.
@@ -362,15 +362,20 @@ Core::issueStage()
             continue;
         const std::uint64_t squashesBefore =
             hot.branchSquashes + hot.orderingSquashes;
-        if (tryIssue(*inst, intUsed, loadUsed, storeUsed, branchUsed)) {
+        InstSeqNum sqFloor = 0;
+        if (tryIssue(*inst, intUsed, loadUsed, storeUsed, branchUsed,
+                     sqFloor)) {
             ++globalUsed;
             iq.removeAt(idx);
             if (tracer)
                 tracer->event(now, TraceEvent::Issue, *inst);
+        } else if (sqFloor != 0) {
+            // Blocked on the store queue with no side effect: sleep
+            // until an SQ entry in [sqFloor, inst) changes.
+            iq.sleepOnSq(idx, sqFloor);
         }
-        // Every register gate passed, so a failure has no recorded
-        // wake (port conflict, store-set wait, partial overlap): the
-        // entry keeps its awake bit and is re-polled every cycle.
+        // Any other failure (load bank port, FSQ port, per-class cap)
+        // keeps the awake bit and is re-polled next cycle.
         // A store issue may have triggered an ordering squash that
         // invalidated the scan; stop for this cycle.
         if (hot.branchSquashes + hot.orderingSquashes != squashesBefore)
@@ -378,9 +383,19 @@ Core::issueStage()
     }
 }
 
+InstSeqNum
+Core::storeSetWait(const DynInst &inst)
+{
+    if (inst.storeSetDep == 0)
+        return 0;
+    const DynInst *dep = rob.findBySeq(inst.storeSetDep);
+    return dep && !dep->addrResolved ? inst.storeSetDep : 0;
+}
+
 bool
 Core::tryIssue(DynInst &inst, unsigned &intUsed, unsigned &loadUsed,
-               unsigned &storeUsed, unsigned &branchUsed)
+               unsigned &storeUsed, unsigned &branchUsed,
+               InstSeqNum &sqFloor)
 {
     const StaticInst &si = *inst.si;
 
@@ -446,16 +461,13 @@ Core::tryIssue(DynInst &inst, unsigned &intUsed, unsigned &loadUsed,
         if (!srcReady(inst.prs1))
             return false;
         // Store-sets: wait for the predicted-conflicting store.
-        if (inst.storeSetDep != 0) {
-            DynInst *dep = rob.findBySeq(inst.storeSetDep);
-            if (dep && !dep->addrResolved)
-                return false;
-        }
+        if ((sqFloor = storeSetWait(inst)) != 0)
+            return false;
         inst.addr = effectiveAddr(si, srcVal(inst.prs1));
         const unsigned bank = mem.dataBank(inst.addr);
         if (loadBankPorts[bank].freeSlots(now) == 0)
             return false;
-        issueLoad(inst);
+        sqFloor = issueLoad(inst);
         if (!inst.issued)
             return false;  // blocked (partial overlap / FSQ port)
         loadBankPorts[bank].tryClaim(now);
@@ -472,11 +484,8 @@ Core::tryIssue(DynInst &inst, unsigned &intUsed, unsigned &loadUsed,
             return false;
         if (!srcReady(inst.prs1))
             return false;
-        if (inst.storeSetDep != 0) {
-            DynInst *dep = rob.findBySeq(inst.storeSetDep);
-            if (dep && !dep->addrResolved)
-                return false;
-        }
+        if ((sqFloor = storeSetWait(inst)) != 0)
+            return false;
         issueStore(inst);
         ++storeUsed;
         return true;
@@ -487,7 +496,7 @@ Core::tryIssue(DynInst &inst, unsigned &intUsed, unsigned &loadUsed,
     }
 }
 
-void
+InstSeqNum
 Core::issueLoad(DynInst &load)
 {
     LoadExecResult res;
@@ -498,8 +507,16 @@ Core::issueLoad(DynInst &load)
     } else {
         res = lsu.executeLoad(load, now);
     }
-    if (res.status != LoadExecResult::Status::Done)
-        return;  // retry next cycle
+    if (res.status != LoadExecResult::Status::Done) {
+        // A partial block is re-decided only by a change to an SQ entry
+        // in [blocker, load), so the load may sleep on the SQ. An FSQ
+        // search claims the FSQ port on every attempt, so a steered
+        // load keeps polling instead.
+        return res.status == LoadExecResult::Status::BlockedPartial &&
+                       !load.fsqLoad
+                   ? res.blocker
+                   : 0;
+    }
 
     load.issued = true;
     load.addrResolved = true;
@@ -523,6 +540,7 @@ Core::issueLoad(DynInst &load)
         noteReadyAt(load.prd, done);
     }
     completionQueue.schedule(now, done, load.seq);
+    return 0;
 }
 
 void
@@ -712,7 +730,7 @@ Core::dispatchOne(DynInst &d, const DynInstCold &cold)
         elimPending.push_back(r.seq);
     } else {
         if (!trivial) {
-            iq.insert(&r);
+            iq.insert(&r, rob.slotOf(r));
         }
         if (rle.enabled()) {
             rle.createEntry(r, rename, svw.ssn().ssnRename(),
@@ -779,7 +797,8 @@ Core::squashAfter(InstSeqNum keepSeq, std::uint64_t newFetchPc,
 
     // ---- pointer-holder prune precedes ROB pops (IQ, LSU queues, and
     //      the rex store buffer all hold ROB slot pointers) -------------
-    iq.squashAfter(keepSeq);
+    const std::size_t kept = rob.countUpTo(keepSeq);
+    iq.squashAfter(keepSeq, rob.slotAt(kept), rob.size() - kept);
     lsu.squashAfter(keepSeq);
     rex.squashAfter(keepSeq);
 

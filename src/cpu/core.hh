@@ -233,9 +233,18 @@ class Core
 
     // --- helpers -------------------------------------------------------
     bool dispatchOne(DynInst &inst, const DynInstCold &cold);
+    /** Attempt to issue @p inst. On a failure that only a store-queue
+     * change can undo, @p sqFloor names the oldest store whose change
+     * can (IssueQueue::sleepOnSq); it stays 0 otherwise. */
     bool tryIssue(DynInst &inst, unsigned &intUsed, unsigned &loadUsed,
-                  unsigned &storeUsed, unsigned &branchUsed);
-    void issueLoad(DynInst &load);
+                  unsigned &storeUsed, unsigned &branchUsed,
+                  InstSeqNum &sqFloor);
+    /** Seq of the unresolved store @p inst's store set makes it wait
+     * for, 0 if none. */
+    InstSeqNum storeSetWait(const DynInst &inst);
+    /** Execute @p load; sets load.issued on success. A failed load
+     * returns the store it may sleep on (0 = keep polling). */
+    InstSeqNum issueLoad(DynInst &load);
     void issueStore(DynInst &store);
     void captureStoreData(DynInst &store);
     void finishBranch(DynInst &inst);

@@ -162,6 +162,11 @@ struct DynInst
     bool fsqLoad : 1 = false;      ///< steered to the FSQ (SSQ)
     bool fsqStore : 1 = false;     ///< allocated an FSQ entry (SSQ)
 
+    /** Loads: low 32 bits of the seq of the store that last blocked
+     * this load (0 = none), so lsu.partialBlocks counts each block
+     * episode once. In-flight seqs never lie 2^32 apart. */
+    std::uint32_t partialBlocker = 0;
+
     // --- pre-decoded predicate accessors -------------------------------
     /** Bind the static instruction and cache its pre-decoded facts.
      * Every DynInst must be initialized through this (fetch does; so do

@@ -5,41 +5,33 @@
 namespace svw {
 
 void
-IssueQueue::squashAfter(InstSeqNum keepSeq)
+IssueQueue::squashAfter(InstSeqNum keepSeq, std::size_t first,
+                        std::size_t n)
 {
-    // Squashed entries are the age-ordered suffix; dead tombstones in
-    // that suffix go with them.
-    while (!entries_.empty() &&
-           (!entries_.back().inst || entries_.back().seq > keepSeq)) {
-        if (entries_.back().inst)
-            --live;
-        entries_.pop_back();
+    // Clear the live and awake bits of [first, first + n), a word at a
+    // time, splitting at the ring's end. Wake records for the freed
+    // slots then fail validation and just drop.
+    while (n > 0) {
+        const std::size_t end = std::min(first + n, entries_.size());
+        n -= end - first;
+        for (std::size_t i = first; i < end;) {
+            const std::size_t wordEnd = std::min((i | 63) + 1, end);
+            const unsigned width = static_cast<unsigned>(wordEnd - i);
+            const std::uint64_t m = (width == 64
+                                         ? ~std::uint64_t(0)
+                                         : (std::uint64_t(1) << width) - 1)
+                                    << (i & 63);
+            live -= std::popcount(live_[i >> 6] & m);
+            live_[i >> 6] &= ~m;
+            if (!(awake_[i >> 6] &= ~m))
+                awakeWords_ &= ~(std::uint64_t(1) << (i >> 6));
+            i = wordEnd;
+        }
+        first = 0;
     }
-    // Clear awake bits past the new end (the slots no longer exist);
-    // wake records for them now fail seq validation and just drop.
-    const std::size_t n = entries_.size();
-    std::size_t wi = n >> 6;
-    if (wi < awake_.size()) {
-        awake_[wi] &= (n & 63)
-            ? (std::uint64_t(1) << (n & 63)) - 1 : 0;
-        while (++wi < awake_.size())
-            awake_[wi] = 0;
-    }
-}
-
-void
-IssueQueue::compact()
-{
-    entries_.erase(std::remove_if(entries_.begin(), entries_.end(),
-                                  [](const Entry &e) { return !e.inst; }),
-                   entries_.end());
-    // Indices shifted: outstanding wake records are stale (validation
-    // drops them). Mark every survivor awake so the next scan
-    // re-screens and re-arms each sleeper under its new index.
-    const std::size_t n = entries_.size();
-    awake_.assign((n + 63) >> 6, ~std::uint64_t(0));
-    if (n & 63)
-        awake_.back() = (std::uint64_t(1) << (n & 63)) - 1;
+    std::erase_if(sqWaiters_, [keepSeq](const SqWaitRec &r) {
+        return r.rec.seq > keepSeq;
+    });
 }
 
 } // namespace svw

@@ -69,13 +69,10 @@ class ROB
 
     /** Cold side-record of a live ROB entry (parallel arena, same ring
      * slot). @p inst must be a reference into this ROB's storage. */
-    DynInstCold &cold(const DynInst &inst)
-    {
-        return colds[static_cast<std::size_t>(&inst - slots.data())];
-    }
+    DynInstCold &cold(const DynInst &inst) { return colds[slotOf(inst)]; }
     const DynInstCold &cold(const DynInst &inst) const
     {
-        return colds[static_cast<std::size_t>(&inst - slots.data())];
+        return colds[slotOf(inst)];
     }
 
     DynInst &head() { return at(0); }
@@ -91,12 +88,9 @@ class ROB
 
     void popTail() { --count; }
 
-    /**
-     * Drop every entry younger than @p keepSeq without touching the
-     * entries themselves (checkpoint recovery's bulk pop; the walk
-     * fallback pops per entry). O(log n) binary search on seq.
-     */
-    void squashTail(InstSeqNum keepSeq)
+    /** Number of entries with seq <= @p keepSeq: the age-ordered
+     * prefix a squash keeping @p keepSeq leaves. O(log n). */
+    std::size_t countUpTo(InstSeqNum keepSeq) const
     {
         std::size_t lo = 0, hi = count;
         while (lo < hi) {
@@ -106,7 +100,32 @@ class ROB
             else
                 hi = mid;
         }
-        count = lo;
+        return lo;
+    }
+
+    /**
+     * Drop every entry younger than @p keepSeq without touching the
+     * entries themselves (checkpoint recovery's bulk pop; the walk
+     * fallback pops per entry).
+     */
+    void squashTail(InstSeqNum keepSeq) { count = countUpTo(keepSeq); }
+
+    /**
+     * Ring-slot view. A live entry's slot never changes, and walking
+     * slots from headSlot() around the ring visits entries in age
+     * order; the issue queue keys its entries by slot on that basis.
+     */
+    std::size_t ringSlots() const { return mask + 1; }
+    std::size_t headSlot() const { return headPos & mask; }
+    /** Slot of the entry @p pos places behind the head. */
+    std::size_t slotAt(std::size_t pos) const
+    {
+        return (headPos + pos) & mask;
+    }
+    /** Slot of a live entry (@p inst must live in this ROB). */
+    std::size_t slotOf(const DynInst &inst) const
+    {
+        return static_cast<std::size_t>(&inst - slots.data());
     }
 
     /** Find by sequence number; O(1) when seqs are dense from the head.

@@ -41,8 +41,7 @@ LoadStoreUnit::searchSq(DynInst &load)
         }
         // Partial overlap, or matching store whose data has not been
         // captured yet: stall until it drains / the data arrives.
-        ++hot.partialBlocks;
-        res.status = LoadExecResult::Status::BlockedPartial;
+        blockPartial(load, st.seq, res);
         return res;
     }
 
@@ -71,7 +70,8 @@ LoadStoreUnit::storeResolved(DynInst &store)
     // Associative LQ search: oldest younger load that already issued
     // with an overlapping address is a memory-ordering violation.
     ++hot.lqSearches;
-    for (DynInst *ld : lq) {
+    for (std::size_t i = 0; i < lq.size(); ++i) {
+        DynInst *ld = lq[i];
         if (ld->seq <= store.seq)
             continue;
         if (!ld->issued || !ld->addrResolved)

@@ -6,8 +6,6 @@
 
 #include "lsu/lsu.hh"
 
-#include <algorithm>
-
 #include "base/logging.hh"
 
 namespace svw {
@@ -18,7 +16,8 @@ LoadStoreUnit::LoadStoreUnit(const LsuParams &p, MemoryImage &img,
       bestEffortHits(reg, "lsu.bestEffortHits",
                      "loads served by best-effort buffers (SSQ)"),
       partialBlocks(reg, "lsu.partialBlocks",
-                    "load issue retries due to partial store overlap"),
+                    "load/store pairs where the store blocked the load "
+                    "(partial overlap or data not yet captured)"),
       lqSearches(reg, "lsu.lqSearches", "associative LQ searches"),
       lqViolations(reg, "lsu.lqViolations",
                    "ordering violations found by LQ search"),
@@ -29,7 +28,11 @@ LoadStoreUnit::LoadStoreUnit(const LsuParams &p, MemoryImage &img,
                         "steering predictor trainings"),
       prm(p),
       committed(img),
-      svw(svwUnit)
+      svw(svwUnit),
+      lq(p.lqEntries),
+      sq(p.sqEntries),
+      sqm(p.sqEntries),
+      fsq(p.fsqEntries)
 {
     forwards.bind(&hot.forwards);
     bestEffortHits.bind(&hot.bestEffortHits);
@@ -101,17 +104,24 @@ void
 LoadStoreUnit::refreshSqMirror(const DynInst &store)
 {
     // sqm is age-ordered (parallel to sq); locate the slot by seq.
-    auto it = std::lower_bound(sqm.begin(), sqm.end(), store.seq,
-                               [](const SqMirrorEntry &e, InstSeqNum s) {
-                                   return e.seq < s;
-                               });
-    if (it == sqm.end() || it->seq != store.seq)
+    std::size_t lo = 0, hi = sqm.size();
+    while (lo < hi) {
+        const std::size_t mid = (lo + hi) / 2;
+        if (sqm[mid].seq < store.seq)
+            lo = mid + 1;
+        else
+            hi = mid;
+    }
+    if (lo == sqm.size() || sqm[lo].seq != store.seq)
         return;  // already squashed out
-    it->addr = store.addr;
-    it->data = store.storeData;
-    it->ssn = store.ssn;
-    it->addrOk = store.addrResolved;
-    it->dataOk = store.dataResolved;
+    SqMirrorEntry &e = sqm[lo];
+    e.addr = store.addr;
+    e.data = store.storeData;
+    e.ssn = store.ssn;
+    e.addrOk = store.addrResolved;
+    e.dataOk = store.dataResolved;
+    if (sqWake)
+        sqWake->wakeSq(store.seq);
 }
 
 LoadExecResult
@@ -141,7 +151,7 @@ LoadStoreUnit::commitLoad(const DynInst &load)
 {
     svw_assert(!lq.empty() && lq.front()->seq == load.seq,
                "LQ commit out of order");
-    lq.erase(lq.begin());
+    lq.pop_front();
 }
 
 void
@@ -149,8 +159,10 @@ LoadStoreUnit::commitStore(const DynInst &store)
 {
     svw_assert(!sq.empty() && sq.front()->seq == store.seq,
                "SQ commit out of order");
-    sq.erase(sq.begin());
-    sqm.erase(sqm.begin());
+    sq.pop_front();
+    sqm.pop_front();
+    if (sqWake)
+        sqWake->wakeSq(store.seq);
     if (prm.ssq) {
         // The committed store enters its bank's best-effort forwarding
         // buffer (an 8-entry window in front of the cache bank).
@@ -178,12 +190,11 @@ LoadStoreUnit::commitStore(const DynInst &store)
         buf.push_back(FwdBufEntry{store.addr, store.size, data});
     }
     if (store.fsqStore) {
-        auto it = std::find_if(fsq.begin(), fsq.end(),
-                               [&store](const DynInst *s) {
-                                   return s->seq == store.seq;
-                               });
-        svw_assert(it != fsq.end(), "FSQ entry lost");
-        fsq.erase(it);
+        // The FSQ is an age-ordered subset of the SQ: the oldest store
+        // is its head too.
+        svw_assert(!fsq.empty() && fsq.front()->seq == store.seq,
+                   "FSQ entry lost");
+        fsq.pop_front();
     }
 }
 
@@ -191,8 +202,9 @@ void
 LoadStoreUnit::squashAfter(InstSeqNum keepSeq)
 {
     // Squashed entries are a suffix (queues are age-ordered): pop while
-    // the tail is younger than the squash point.
-    auto prune = [keepSeq](std::vector<DynInst *> &q) {
+    // the tail is younger than the squash point. No load wake is due:
+    // every surviving load is older than every squashed store.
+    auto prune = [keepSeq](BoundedRing<DynInst *> &q) {
         while (!q.empty() && q.back()->seq > keepSeq)
             q.pop_back();
     };

@@ -27,8 +27,10 @@
 #include <deque>
 #include <vector>
 
+#include "base/bounded_ring.hh"
 #include "base/types.hh"
 #include "cpu/dyninst.hh"
+#include "cpu/iq.hh"
 #include "func/memory_image.hh"
 #include "stats/stats.hh"
 #include "svw/svw.hh"
@@ -67,15 +69,23 @@ struct LoadExecResult
     bool forwarded = false;      ///< value from an in-flight store
     bool bestEffort = false;     ///< value from a best-effort buffer
     SSN fwdSsn = 0;
+    /** BlockedPartial: seq of the store that blocks the load. */
+    InstSeqNum blocker = 0;
     bool sawAmbiguousOlderStore = false;
     bool cacheMiss = false;
 };
 
 /**
- * The load/store unit. Owns the LQ/SQ (as age-ordered lists of DynInst
+ * The load/store unit. Owns the LQ/SQ (as age-ordered rings of DynInst
  * pointers into the ROB ring, whose slots are stable for an entry's
- * lifetime), the SSQ structures, and the steering predictor. Associative
- * searches walk the pointers directly; no per-entry ROB lookups.
+ * lifetime; retire pops the head in O(1)), the SSQ structures, and the
+ * steering predictor. Associative searches walk the pointers (or the
+ * dense SQ mirror) directly; no per-entry ROB lookups.
+ *
+ * Every change to an SQ entry a load search reads — address resolve,
+ * data capture, commit — is reported to the issue queue
+ * (IssueQueue::wakeSq), which is how loads blocked on the SQ sleep
+ * instead of retrying every cycle.
  */
 class LoadStoreUnit
 {
@@ -84,6 +94,10 @@ class LoadStoreUnit
                   SvwUnit &svwUnit, stats::StatRegistry &reg);
 
     const LsuParams &params() const { return prm; }
+
+    /** Issue queue told about every SQ entry change (nullptr = none,
+     * e.g. LSU-only unit tests). */
+    void setSqWakeTarget(IssueQueue *iq) { sqWake = iq; }
 
     // --- dispatch ------------------------------------------------------
     bool lqFull() const { return lq.size() >= prm.lqEntries; }
@@ -114,9 +128,10 @@ class LoadStoreUnit
     InstSeqNum storeResolved(DynInst &store);
 
     /** Re-copy @p store's search-relevant fields into its mirror slot
-     * (by-seq binary search; no-op if the store was already squashed).
-     * The pipeline reaches this through storeResolved/storeDataReady;
-     * tests that poke store fields directly call it to resync. */
+     * (by-seq binary search; no-op if the store was already squashed)
+     * and wake the loads waiting on it. The pipeline reaches this
+     * through storeResolved/storeDataReady; tests that poke store
+     * fields directly call it to resync. */
     void refreshSqMirror(const DynInst &store);
 
     // --- retirement / squash --------------------------------------------
@@ -143,7 +158,7 @@ class LoadStoreUnit
     /** Age-ordered in-flight stores. Checkpoint recovery reads the
      * squashed suffix (before squashAfter prunes it) to release the
      * stores' LFST claims without walking the ROB. */
-    const std::vector<DynInst *> &storeQueue() const { return sq; }
+    const BoundedRing<DynInst *> &storeQueue() const { return sq; }
 
     /** Seq of the youngest in-flight store (0 if none). */
     InstSeqNum youngestStoreSeq() const
@@ -185,14 +200,15 @@ class LoadStoreUnit
     };
 
     /**
-     * Compact mirror of one SQ entry: everything the associative
-     * forwarding search reads (searchSq), packed so the youngest-first
-     * scan walks a dense array instead of dereferencing each store's
-     * two-cache-line DynInst out of the ROB ring. Maintained strictly
-     * in lockstep with @c sq (same order, same length): pushed at
-     * dispatch, refreshed from the DynInst when the store's address and
-     * data resolve (storeResolved / storeDataReady — the only points
-     * those fields change), popped with commit and squash.
+     * Compact mirror of one SQ entry: everything the older-store
+     * scans read (searchSq, searchSsq's ambiguity scan), packed so the
+     * youngest-first scans walk a dense array instead of dereferencing
+     * each store's two-cache-line DynInst out of the ROB ring.
+     * Maintained strictly in lockstep with @c sq (same order, same
+     * length): pushed at dispatch, refreshed from the DynInst when the
+     * store's address and data resolve (storeResolved / storeDataReady
+     * — the only points those fields change), popped with commit and
+     * squash.
      */
     struct SqMirrorEntry
     {
@@ -204,6 +220,21 @@ class LoadStoreUnit
         bool addrOk = false;
         bool dataOk = false;
     };
+
+    /** Block @p res on store @p storeSeq. lsu.partialBlocks counts
+     * each (load, blocking store) episode once, however many times the
+     * load retries into it. */
+    void blockPartial(DynInst &load, InstSeqNum storeSeq,
+                      LoadExecResult &res)
+    {
+        const auto tag = static_cast<std::uint32_t>(storeSeq);
+        if (load.partialBlocker != tag) {
+            load.partialBlocker = tag;
+            ++hot.partialBlocks;
+        }
+        res.status = LoadExecResult::Status::BlockedPartial;
+        res.blocker = storeSeq;
+    }
 
     /** Extract the bytes of @p load covered by @p store (full cover). */
     static std::uint64_t extractForward(const DynInst &store,
@@ -227,10 +258,11 @@ class LoadStoreUnit
     MemoryImage &committed;
     SvwUnit &svw;
 
-    std::vector<DynInst *> lq;   ///< age-ordered in-flight loads
-    std::vector<DynInst *> sq;   ///< age-ordered in-flight stores
-    std::vector<SqMirrorEntry> sqm;  ///< dense searchSq mirror of sq
-    std::vector<DynInst *> fsq;  ///< subset of sq steered to the FSQ
+    BoundedRing<DynInst *> lq;   ///< age-ordered in-flight loads
+    BoundedRing<DynInst *> sq;   ///< age-ordered in-flight stores
+    BoundedRing<SqMirrorEntry> sqm;  ///< dense search mirror of sq
+    BoundedRing<DynInst *> fsq;  ///< subset of sq steered to the FSQ
+    IssueQueue *sqWake = nullptr;  ///< see setSqWakeTarget
 
     std::vector<std::deque<FwdBufEntry>> fwdBufs;  ///< per cache bank
     std::vector<bool> loadFsqBits;

@@ -16,20 +16,9 @@ LoadStoreUnit::searchSsq(DynInst &load, Cycle now)
 {
     LoadExecResult res;
 
-    // Note ambiguous older stores for statistics/NLQ composition; the
-    // SSQ itself marks every load regardless.
-    for (auto it = sq.rbegin(); it != sq.rend(); ++it) {
-        DynInst *st = *it;
-        if (st->seq > load.seq)
-            continue;
-        if (!st->addrResolved) {
-            res.sawAmbiguousOlderStore = true;
-            break;
-        }
-    }
-
+    // One FSQ search per cycle. Checked before anything else: a
+    // rejected load needs none of the rest.
     if (load.fsqLoad) {
-        // One FSQ search per cycle.
         if (now != fsqPortCycle) {
             fsqPortCycle = now;
             fsqPortUsed = 0;
@@ -39,10 +28,24 @@ LoadStoreUnit::searchSsq(DynInst &load, Cycle now)
             return res;
         }
         ++fsqPortUsed;
+    }
 
+    // Note ambiguous older stores for statistics/NLQ composition; the
+    // SSQ itself marks every load regardless. Youngest-first over the
+    // dense SQ mirror, like searchSq.
+    for (std::size_t i = sqm.size(); i-- > 0;) {
+        if (sqm[i].seq > load.seq)
+            continue;
+        if (!sqm[i].addrOk) {
+            res.sawAmbiguousOlderStore = true;
+            break;
+        }
+    }
+
+    if (load.fsqLoad) {
         // Youngest-first search of FSQ stores older than the load.
-        for (auto it = fsq.rbegin(); it != fsq.rend(); ++it) {
-            DynInst *st = *it;
+        for (std::size_t i = fsq.size(); i-- > 0;) {
+            DynInst *st = fsq[i];
             if (st->seq > load.seq)
                 continue;
             if (!st->addrResolved)
@@ -57,8 +60,7 @@ LoadStoreUnit::searchSsq(DynInst &load, Cycle now)
                 res.value = extractForward(*st, load);
                 return res;
             }
-            ++hot.partialBlocks;
-            res.status = LoadExecResult::Status::BlockedPartial;
+            blockPartial(load, st->seq, res);
             return res;
         }
         // Steered but no FSQ producer: fall through to the cache.

@@ -2,11 +2,15 @@
  * @file
  * Directed core tests: hand-built programs that force specific pipeline
  * events (forwarding, ordering violations, re-execution flushes, SSN
- * wrap drains, NLQ-SM invalidations) and check both the event counts
- * and the architectural outcome.
+ * wrap drains, NLQ-SM invalidations, loads blocked on the store queue)
+ * and check both the event counts (or issue cycles) and the
+ * architectural outcome.
  */
 
 #include <gtest/gtest.h>
+
+#include <algorithm>
+#include <map>
 
 #include "base/random.hh"
 #include "cpu/core.hh"
@@ -460,4 +464,254 @@ TEST(CoreDirected, CapsStopRunawayRuns)
     auto out = h.core.run(1'000, 10'000'000);
     EXPECT_FALSE(out.halted);
     EXPECT_GE(out.instructions, 1'000u);
+}
+
+// ---------------------------------------------------------------------
+// Loads blocked on the store queue. The issue queue puts them to sleep
+// until an SQ entry that can unblock them changes (address resolve,
+// data capture, commit); these pin that each one still issues on the
+// first cycle the blocking condition clears, as re-polling every cycle
+// would.
+// ---------------------------------------------------------------------
+
+namespace {
+
+/** Per-seq cycle of each pipeline event (latest incarnation wins). */
+class EventLog : public CountingTracer
+{
+  public:
+    struct Inst
+    {
+        Cycle issue = 0, complete = 0, commit = 0;
+        bool issued = false, committed = false, squashed = false;
+        bool isLoad = false, isStore = false;
+        InstSeqNum storeSetDep = 0;
+    };
+
+    void event(Cycle cycle, TraceEvent ev, const DynInst &inst) override
+    {
+        CountingTracer::event(cycle, ev, inst);
+        Inst &r = insts[inst.seq];
+        r.isLoad = inst.isLoad();
+        r.isStore = inst.isStore();
+        switch (ev) {
+          case TraceEvent::Issue:
+            r.issue = cycle;
+            r.issued = true;
+            r.storeSetDep = inst.storeSetDep;
+            break;
+          case TraceEvent::Complete:
+            r.complete = cycle;
+            break;
+          case TraceEvent::Commit:
+            r.commit = cycle;
+            r.committed = true;
+            break;
+          case TraceEvent::Squash:
+            r.squashed = true;
+            break;
+          default:
+            break;
+        }
+    }
+
+    std::map<InstSeqNum, Inst> insts;
+};
+
+} // namespace
+
+TEST(CoreDirected, LoadBlockedOnLateStoreDataIssuesWhenDataArrives)
+{
+    // mul (serial chain) -> st8 data; the store's address is ready at
+    // once, so the same-address load finds the matching store without
+    // its data and blocks until the mul's value is captured.
+    ProgramBuilder b("latedata");
+    const Addr buf = b.allocData(64);
+    b.loadAddr(1, buf);
+    b.movi(2, 0);
+    b.movi(3, 200);
+    b.movi(4, 1);
+    b.movi(9, 3);
+    Label loop = b.newLabel();
+    b.bind(loop);
+    b.mul(4, 4, 9);   // seq l-2: the store's data, one mul per iteration
+    b.st8(4, 1, 0);   // seq l-1
+    b.ld8(5, 1, 0);   // seq l
+    b.add(6, 6, 5);
+    b.addi(2, 2, 1);
+    b.blt(2, 3, loop);
+    b.halt();
+
+    CoreHarness h(b.finish(), cfgOf(OptMode::Nlq));
+    EventLog log;
+    h.core.setTracer(&log);
+    ASSERT_TRUE(h.run().halted);
+    EXPECT_TRUE(h.matchesGolden());
+
+    unsigned loads = 0, blocked = 0;
+    for (const auto &[seq, ld] : log.insts) {
+        if (!ld.isLoad || !ld.committed)
+            continue;
+        const EventLog::Inst &st = log.insts.at(seq - 1);
+        const EventLog::Inst &mul = log.insts.at(seq - 2);
+        ASSERT_TRUE(st.isStore && st.issued && mul.issued);
+        // The data is captured at store issue if the mul is done by
+        // then, else on the mul's completion cycle; the load issues on
+        // exactly that cycle.
+        EXPECT_EQ(ld.issue, std::max(st.issue, mul.complete))
+            << "load seq " << seq;
+        ++loads;
+        if (ld.issue > st.issue)
+            ++blocked;
+    }
+    EXPECT_EQ(loads, 200u);
+    EXPECT_GT(blocked, 150u);
+    // One block episode per blocked load, not one per waiting cycle.
+    EXPECT_EQ(h.scalar("lsu.partialBlocks"), blocked);
+}
+
+TEST(CoreDirected, StoreSetWaitIssuesInTheStoresIssueCycle)
+{
+    // The store's address hangs off a slow mul chain (times zero), the
+    // younger same-address load is ready at once: the baseline's LQ
+    // search catches the violation, store-sets learns the pair, and
+    // later loads wait for the store. The store's data is ready, so a
+    // waiting load issues in the very scan that issues its store.
+    ProgramBuilder b("storeset");
+    const Addr buf = b.allocData(64);
+    b.loadAddr(1, buf);
+    b.movi(2, 0);
+    b.movi(3, 200);
+    b.movi(7, 1);
+    b.movi(9, 3);
+    b.movi(11, 0);
+    Label loop = b.newLabel();
+    b.bind(loop);
+    b.mul(7, 7, 9);
+    b.mul(8, 7, 11);  // zero, but only once the chain gets here
+    b.add(10, 1, 8);
+    b.st8(2, 10, 0);
+    b.ld8(5, 1, 0);
+    b.add(6, 6, 5);
+    b.addi(2, 2, 1);
+    b.blt(2, 3, loop);
+    b.halt();
+
+    CoreHarness h(b.finish(), cfgOf(OptMode::Baseline));
+    EventLog log;
+    h.core.setTracer(&log);
+    ASSERT_TRUE(h.run().halted);
+    EXPECT_TRUE(h.matchesGolden());
+    EXPECT_GT(h.scalar("core.orderingSquashes"), 0u);
+
+    unsigned waited = 0;
+    for (const auto &[seq, ld] : log.insts) {
+        if (!ld.isLoad || !ld.committed || ld.storeSetDep == 0)
+            continue;
+        const EventLog::Inst &st = log.insts.at(ld.storeSetDep);
+        ASSERT_TRUE(st.isStore && st.issued);
+        EXPECT_EQ(ld.issue, st.issue) << "load seq " << seq;
+        ++waited;
+    }
+    EXPECT_GT(waited, 150u);
+}
+
+TEST(CoreDirected, PartialOverlapWaitsForBlockerCommit)
+{
+    // A 4-byte store into the upper half of an 8-byte load can never
+    // forward: the load waits until the store leaves the SQ at commit,
+    // and issues in that same cycle (commit runs before issue).
+    auto program = [] {
+        ProgramBuilder b("partial");
+        const Addr buf = b.allocData(64);
+        b.loadAddr(1, buf);
+        b.movi(2, 0);
+        b.movi(3, 100);
+        Label loop = b.newLabel();
+        b.bind(loop);
+        b.st4(2, 1, 4);
+        b.ld8(5, 1, 0);
+        b.add(6, 6, 5);
+        b.addi(2, 2, 1);
+        b.blt(2, 3, loop);
+        b.halt();
+        return b.finish();
+    };
+
+    for (OptMode opt : {OptMode::Baseline, OptMode::Nlq}) {
+        CoreHarness h(program(), cfgOf(opt));
+        EventLog log;
+        h.core.setTracer(&log);
+        ASSERT_TRUE(h.run().halted);
+        EXPECT_TRUE(h.matchesGolden());
+        unsigned loads = 0;
+        for (const auto &[seq, ld] : log.insts) {
+            if (!ld.isLoad || !ld.committed)
+                continue;
+            const EventLog::Inst &st = log.insts.at(seq - 1);
+            ASSERT_TRUE(st.isStore && st.committed);
+            EXPECT_EQ(ld.issue, st.commit) << "load seq " << seq;
+            ++loads;
+        }
+        EXPECT_EQ(loads, 100u);
+        EXPECT_EQ(h.scalar("lsu.partialBlocks"), 100u);
+    }
+}
+
+TEST(CoreDirected, SquashedBlockerTakesItsSleepingLoadAlong)
+{
+    // Each iteration branches on a pseudo-random bit off a slow mul
+    // chain; both paths hold a partially overlapping store/load pair.
+    // Mispredictions squash pairs whose load sleeps on its store; the
+    // refetched pairs must still issue at their blocker's commit.
+    ProgramBuilder b("squashpair");
+    const Addr buf = b.allocData(64);
+    b.loadAddr(1, buf);
+    b.movi(2, 0);
+    b.movi(3, 150);
+    b.movi(7, 12345);
+    b.movi(9, 1103515245);
+    Label loop = b.newLabel();
+    Label other = b.newLabel();
+    Label next = b.newLabel();
+    b.bind(loop);
+    b.mul(7, 7, 9);
+    b.addi(7, 7, 12345);
+    b.srli(8, 7, 16);
+    b.andi(8, 8, 1);
+    b.beq(8, 0, other);
+    b.st4(2, 1, 4);
+    b.ld8(5, 1, 0);
+    b.jmp(next);
+    b.bind(other);
+    b.st4(2, 1, 12);
+    b.ld8(5, 1, 8);
+    b.bind(next);
+    b.add(6, 6, 5);
+    b.addi(2, 2, 1);
+    b.blt(2, 3, loop);
+    b.halt();
+
+    CoreHarness h(b.finish(), cfgOf(OptMode::Nlq));
+    EventLog log;
+    h.core.setTracer(&log);
+    ASSERT_TRUE(h.run().halted);
+    EXPECT_TRUE(h.matchesGolden());
+    EXPECT_GT(h.scalar("core.branchSquashes"), 20u);
+
+    unsigned squashedWaiting = 0, loads = 0;
+    for (const auto &[seq, ld] : log.insts) {
+        if (!ld.isLoad)
+            continue;
+        const EventLog::Inst &st = log.insts.at(seq - 1);
+        ASSERT_TRUE(st.isStore);
+        if (ld.squashed && !ld.issued && st.squashed)
+            ++squashedWaiting;
+        if (ld.committed) {
+            EXPECT_EQ(ld.issue, st.commit) << "load seq " << seq;
+            ++loads;
+        }
+    }
+    EXPECT_EQ(loads, 150u);
+    EXPECT_GT(squashedWaiting, 5u);
 }

@@ -3,11 +3,13 @@
  * Unit tests: the load-store unit driven directly — SQ forwarding and
  * extraction, partial overlaps, ambiguity detection, LQ violation
  * search (value-blind and value-aware), FSQ search and port limits,
- * best-effort buffers, steering, and queue management.
+ * best-effort buffers, steering, queue management, and the SQ-change
+ * wakes that let blocked loads sleep in the issue queue.
  */
 
 #include <gtest/gtest.h>
 
+#include "cpu/iq.hh"
 #include "cpu/rob.hh"
 #include "lsu/lsu.hh"
 
@@ -147,6 +149,90 @@ TEST_F(LsuFixture, MatchingStoreWithoutDataBlocks)
     DynInst &ld = addLoad(2, 0x100, 8);
     auto res = lsu->executeLoad(ld, 0);
     EXPECT_EQ(res.status, LoadExecResult::Status::BlockedPartial);
+}
+
+TEST_F(LsuFixture, PartialBlocksCountEpisodesNotRetries)
+{
+    // lsu.partialBlocks counts (load, blocking store) pairs: however
+    // often a load retries into the same blocker, that is one episode.
+    build();
+    DynInst &s1 = addStore(1, 0x100, 8, 0, true);
+    s1.dataResolved = false;  // matching store, data still in flight
+    lsu->refreshSqMirror(s1);
+    DynInst &s2 = addStore(2, 0, 8, 0, /*resolved=*/false);
+    DynInst &ld = addLoad(3, 0x100, 8);
+    for (Cycle c = 0; c < 4; ++c) {
+        auto res = lsu->executeLoad(ld, c);
+        EXPECT_EQ(res.status, LoadExecResult::Status::BlockedPartial);
+        EXPECT_EQ(res.blocker, 1u);
+    }
+    EXPECT_EQ(lsu->partialBlocks.value(), 1u);
+
+    // The younger store resolves onto half the load: a new blocker, a
+    // new episode.
+    s2.addr = 0x104;
+    s2.size = 4;
+    s2.addrResolved = true;
+    lsu->refreshSqMirror(s2);
+    for (Cycle c = 4; c < 7; ++c)
+        EXPECT_EQ(lsu->executeLoad(ld, c).blocker, 2u);
+    EXPECT_EQ(lsu->partialBlocks.value(), 2u);
+
+    // A second load blocked by the same store is its own episode.
+    DynInst &ld2 = addLoad(4, 0x100, 8);
+    lsu->executeLoad(ld2, 7);
+    lsu->executeLoad(ld2, 8);
+    EXPECT_EQ(lsu->partialBlocks.value(), 3u);
+}
+
+TEST_F(LsuFixture, SqChangesWakeBlockedLoads)
+{
+    build();
+    IssueQueue iq(8, rob.ringSlots());
+    lsu->setSqWakeTarget(&iq);
+    auto awake = [&](const DynInst &ld) {
+        const std::size_t head = rob.headSlot();
+        for (std::size_t i = iq.firstAwake(head); i != IssueQueue::npos;
+             i = iq.nextAwake(i, head)) {
+            if (i == rob.slotOf(ld))
+                return true;
+        }
+        return false;
+    };
+    auto blockAndSleep = [&](DynInst &ld, Cycle c) {
+        auto res = lsu->executeLoad(ld, c);
+        ASSERT_EQ(res.status, LoadExecResult::Status::BlockedPartial);
+        iq.sleepOnSq(rob.slotOf(ld), res.blocker);
+    };
+
+    // Data capture: the blocking store's data arrives.
+    DynInst &s1 = addStore(1, 0x100, 8, 0, true);
+    s1.dataResolved = false;
+    lsu->refreshSqMirror(s1);
+    DynInst &l1 = addLoad(2, 0x100, 8);
+    iq.insert(&l1, rob.slotOf(l1));
+    blockAndSleep(l1, 0);
+    EXPECT_FALSE(awake(l1));
+    s1.storeData = 77;
+    s1.dataResolved = true;
+    lsu->storeDataReady(s1);
+    EXPECT_TRUE(awake(l1));
+    EXPECT_EQ(lsu->executeLoad(l1, 1).value, 77u);
+    iq.removeAt(rob.slotOf(l1));
+
+    // Commit: a partial overlap blocks until its store leaves the SQ.
+    // Committing an older store than the blocker wakes nothing.
+    DynInst &s3 = addStore(3, 0x204, 4, 0xab);
+    DynInst &l4 = addLoad(4, 0x200, 8);
+    iq.insert(&l4, rob.slotOf(l4));
+    blockAndSleep(l4, 2);
+    lsu->commitLoad(l1);
+    lsu->commitStore(s1);
+    EXPECT_FALSE(awake(l4));
+    lsu->commitStore(s3);
+    EXPECT_TRUE(awake(l4));
+    EXPECT_EQ(lsu->executeLoad(l4, 3).status,
+              LoadExecResult::Status::Done);
 }
 
 TEST_F(LsuFixture, AmbiguousOlderStoreReported)
@@ -409,6 +495,22 @@ TEST_F(LsuFixture, FsqPortLimitsOneSearchPerCycle)
     // Next cycle the second load gets the port.
     r2 = lsu->executeLoad(l2, 6);
     EXPECT_EQ(r2.status, LoadExecResult::Status::Done);
+}
+
+TEST_F(LsuFixture, FsqPartialBlockCountsOncePerEpisode)
+{
+    // A steered load keeps polling (each attempt claims the FSQ port),
+    // but its partial block against one FSQ store is one episode.
+    build(ssqParams());
+    lsu->trainSteering(7, 3);
+    addStore(3, 0x104, 4, 0xdead);
+    DynInst &ld = addLoad(7, 0x100, 8);
+    for (Cycle c = 10; c < 14; ++c) {
+        auto res = lsu->executeLoad(ld, c);
+        EXPECT_EQ(res.status, LoadExecResult::Status::BlockedPartial);
+        EXPECT_EQ(res.blocker, 3u);
+    }
+    EXPECT_EQ(lsu->partialBlocks.value(), 1u);
 }
 
 TEST_F(LsuFixture, FsqCapacityGatesSteeredStores)

@@ -10,7 +10,6 @@
 
 #include "cpu/rename.hh"
 #include "cpu/rob.hh"
-#include "cpu/iq.hh"
 
 using namespace svw;
 
@@ -300,44 +299,6 @@ TEST(Rob, ReferencesStableAcrossPush)
     for (InstSeqNum s = 2; s < 50; ++s)
         rob.push(mkInst(s));
     EXPECT_EQ(first.seq, 1u);  // deque reference stability
-}
-
-TEST(Iq, InsertRemoveSquash)
-{
-    IssueQueue iq(8);
-    ROB rob(8);
-    DynInst &a = rob.push(mkInst(1));
-    DynInst &b = rob.push(mkInst(2));
-    DynInst &c = rob.push(mkInst(3));
-    iq.insert(&a);
-    iq.insert(&b);
-    iq.insert(&c);
-    EXPECT_EQ(iq.size(), 3u);
-    for (std::size_t i = 0; i < iq.slotCount(); ++i)
-        if (iq.slot(i).inst && iq.slot(i).seq == 2)
-            iq.removeAt(i);
-    EXPECT_EQ(iq.size(), 2u);
-    iq.squashAfter(1);
-    ASSERT_EQ(iq.size(), 1u);
-    // First live slot is the surviving oldest entry.
-    const IssueQueue::Entry *survivor = nullptr;
-    for (std::size_t i = 0; i < iq.slotCount() && !survivor; ++i)
-        if (iq.slot(i).inst)
-            survivor = &iq.slot(i);
-    ASSERT_NE(survivor, nullptr);
-    EXPECT_EQ(survivor->seq, 1u);
-}
-
-TEST(Iq, FullReflectsCapacity)
-{
-    IssueQueue iq(2);
-    ROB rob(4);
-    DynInst &a = rob.push(mkInst(1));
-    DynInst &b = rob.push(mkInst(2));
-    iq.insert(&a);
-    EXPECT_FALSE(iq.full());
-    iq.insert(&b);
-    EXPECT_TRUE(iq.full());
 }
 
 // ---------------------------------------------------------------------
