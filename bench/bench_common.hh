@@ -3,7 +3,7 @@
  * Shared scaffolding for the per-figure bench binaries: command-line
  * sizing and sweep-engine plumbing. The binaries only *declare* their
  * sweeps (harness/sweep.hh, builders in harness/figures.hh) and format
- * tables; execution — including the --jobs worker pool and --shard
+ * tables; execution — including --threads workers and --shard
  * splits — lives in the sweep engine (harness/session.hh), which every
  * binary drives through runBenchSweep below. The sweepd service daemon
  * is a sibling client of the same session API.
@@ -26,17 +26,10 @@
  *   --record-trace=F  record the selected workload's committed stream
  *                (via the golden interpreter, at the --insts sizing) to
  *                trace file F and exit; requires --workload/--bench
- *   --jobs=N     run cells on N worker processes (default 1 =
- *                in-process; output is byte-identical for any N)
  *   --threads=N  run cells on N worker threads in this process,
  *                sharing one program cache and the in-memory result
- *                cache (default 0 = off; output is byte-identical for
- *                any N). Mutually exclusive with --jobs>1: pick
- *                processes *or* threads for one sweep (exit 2 if both)
- *   --batch=K    co-simulate up to K compatible cells of one workload
- *                in lockstep (harness/batch.hh), sharing the program,
- *                base memory image and golden-model pass. Default 0 =
- *                auto; 1 disables. Output is byte-identical for any K.
+ *                cache (default 0 = run cells on the main thread;
+ *                output is byte-identical for any N)
  *   --shard=i/n  run only shard i of n (partitioned by figure row;
  *                the union over all shards is the full sweep)
  *   --cache-dir=D  persistent result cache: cells whose key
@@ -104,9 +97,7 @@ struct BenchArgs
     std::uint64_t insts = 100'000;
     std::string only;
     harness::Families families = harness::Families::Paper;
-    unsigned jobs = 1;
-    unsigned threads = 0;   ///< thread-pool width; 0 = off
-    unsigned batch = 0;     ///< co-simulation lanes; 0 = auto, 1 = off
+    unsigned threads = 0;   ///< worker threads; 0 = main thread
     unsigned shardIndex = 0;
     unsigned shardCount = 1;
     std::string cacheDir;   ///< empty = result caching off
@@ -189,12 +180,8 @@ parseArgs(int argc, char **argv)
                              fam.c_str());
                 std::exit(2);
             }
-        } else if (a.rfind("--jobs=", 0) == 0)
-            args.jobs = parseFlagUnsigned(a.substr(7), "--jobs");
-        else if (a.rfind("--threads=", 0) == 0)
+        } else if (a.rfind("--threads=", 0) == 0)
             args.threads = parseFlagUnsigned(a.substr(10), "--threads");
-        else if (a.rfind("--batch=", 0) == 0)
-            args.batch = parseFlagUnsigned(a.substr(8), "--batch");
         else if (a.rfind("--shard=", 0) == 0) {
             const std::string spec = a.substr(8);
             const std::size_t slash = spec.find('/');
@@ -249,7 +236,7 @@ parseArgs(int argc, char **argv)
                          "usage: %s [--insts=N] [--quick] [--bench=X]"
                          " [--workload=X] [--families=paper|synth|all]"
                          " [--record-trace=F]"
-                         " [--jobs=N] [--threads=N] [--batch=K]"
+                         " [--threads=N]"
                          " [--shard=i/n]"
                          " [--cache-dir=D] [--no-cache]"
                          " [--cache-max-mb=N] [--mem-cache-max-mb=N]"
@@ -259,20 +246,8 @@ parseArgs(int argc, char **argv)
             std::exit(2);
         }
     }
-    if (args.jobs < 1 || args.shardCount < 1 ||
-        args.shardIndex >= args.shardCount) {
-        std::fprintf(stderr,
-                     "error: need --jobs>=1 and --shard=i/n with i<n\n");
-        std::exit(2);
-    }
-    if (args.jobs > 1 && args.threads > 0) {
-        // One sweep parallelizes with processes *or* threads, never a
-        // mix; conflicting requests are a usage error, not a silent
-        // precedence pick. (--jobs=1 is the default, so --threads=N
-        // alone is fine.)
-        std::fprintf(stderr, "error: --jobs=%u and --threads=%u are"
-                             " mutually exclusive; pick one\n",
-                     args.jobs, args.threads);
+    if (args.shardCount < 1 || args.shardIndex >= args.shardCount) {
+        std::fprintf(stderr, "error: need --shard=i/n with i<n\n");
         std::exit(2);
     }
     if (!args.recordTrace.empty()) {
@@ -303,9 +278,7 @@ inline harness::SweepOptions
 sweepOptions(const BenchArgs &args)
 {
     harness::SweepOptions opts;
-    opts.jobs = args.jobs;
     opts.threads = args.threads;
-    opts.batch = args.batch;
     opts.shardIndex = args.shardIndex;
     opts.shardCount = args.shardCount;
     opts.profile = args.profile;
@@ -399,9 +372,9 @@ selectSuite(const BenchArgs &args, const std::vector<std::string> &base)
 }
 
 /**
- * Print every failed cell to stderr (worker crashes / golden
- * mismatches under --jobs; sequential runs raise instead). Figure rows
- * whose group lost a cell are skipped by the caller via groupOk().
+ * Print every failed cell to stderr (golden mismatches and other
+ * throws, which the engine contains per cell). Figure rows whose group
+ * lost a cell are skipped by the caller via groupOk().
  * @return the number of failures.
  */
 inline std::size_t

@@ -10,8 +10,7 @@
  * rewriting workload lines at a configurable interval) and report how
  * many loads NLQ-SM marks versus how many SVW lets skip. Injected
  * writes are value-identical (silent) so the golden model still holds.
- * The injector rides along as the sweep cell's per-cycle hook — worker
- * processes inherit it through fork.
+ * The injector rides along as the sweep cell's per-cycle hook.
  */
 
 #include "bench_common.hh"

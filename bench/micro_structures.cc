@@ -120,33 +120,29 @@ BM_IntegrationTableLookup(benchmark::State &state)
 BENCHMARK(BM_IntegrationTableLookup);
 
 /**
- * Sweep-engine worker wire format: serialize + parse of one per-cell
- * RunResult record. This bounds the pool's per-cell protocol overhead
- * (it must stay negligible next to even a --quick simulation cell).
+ * Sweep-engine wire format: serialize + parse of one lossless
+ * RunResult JSON line (the result cache and sweepd streams carry this;
+ * it must stay negligible next to even a --quick simulation cell).
  */
 static void
-BM_CellRecordRoundTrip(benchmark::State &state)
+BM_RunResultJsonRoundTrip(benchmark::State &state)
 {
-    harness::CellRecord rec;
-    rec.cellIndex = 42;
-    rec.ok = true;
-    rec.seconds = 0.123456789012345;
-    rec.hostWallSeconds = 1.0 / 3.0;
-    rec.result.workload = "gzip";
-    rec.result.config = "SSQ+SVW+UPD";
-    rec.result.cycles = 54257;
-    rec.result.insts = 100000;
-    rec.result.ipc = 100000.0 / 54257.0;
-    rec.result.rexRate = 2.0 / 7.0;
+    harness::RunResult r;
+    r.workload = "gzip";
+    r.config = "SSQ+SVW+UPD";
+    r.cycles = 54257;
+    r.insts = 100000;
+    r.ipc = 100000.0 / 54257.0;
+    r.rexRate = 2.0 / 7.0;
     bool acc = true;
     for (auto _ : state) {
-        const std::string line = harness::cellRecordToLine(rec);
-        harness::CellRecord back;
-        acc &= harness::cellRecordFromLine(line, back);
+        const std::string line = harness::runResultToJson(r);
+        harness::RunResult back;
+        acc &= harness::runResultFromJson(line, back);
         benchmark::DoNotOptimize(back);
     }
     benchmark::DoNotOptimize(acc);
 }
-BENCHMARK(BM_CellRecordRoundTrip);
+BENCHMARK(BM_RunResultJsonRoundTrip);
 
 BENCHMARK_MAIN();

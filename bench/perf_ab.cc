@@ -3,45 +3,26 @@
  * Statistical perf-regression harness: Mann-Whitney verdicts over
  * per-rep host times, replacing single-snapshot mean comparison.
  *
- * Two modes, sharing one cell matrix (the perf_hotloop workloads ×
- * configs; --cells selects a subset):
- *
- *  --ab          Interleaved A/B of the host-optimization toggles
- *                (base/hostopt.hh): each rep runs arm A (optimized)
- *                then arm B (legacy) back to back, so container noise
- *                — frequency excursions, page cache, sibling load —
- *                hits both arms alike. Per cell, a two-sided
- *                Mann-Whitney U test on the rep times says whether
- *                the optimizations actually moved host time
- *                (p < 0.05), in which direction, and by how much
- *                (median shift). Both arms are simulated in ONE
- *                binary; the toggles are host-side only, so both
- *                arms retire byte-identical cycles (asserted).
- *
- *  --history=F   Append-only per-commit sample history
- *                (BENCH_history.jsonl): --append records this
- *                commit's per-cell rep times as one JSON line per
- *                cell; --check tests the same cells against each
- *                cell's most recent prior entry and exits 3 when any
- *                cell regressed significantly (p < 0.05 AND median
- *                slower) — a statistical CI gate instead of a mean
- *                diff against a lone snapshot.
+ * --history=F keeps an append-only per-commit sample history
+ * (BENCH_history.jsonl) over the perf_hotloop workloads × configs
+ * (--cells selects a subset): --append records this commit's per-cell
+ * rep times as one JSON line per cell; --check tests the same cells
+ * against each cell's most recent prior entry with a two-sided
+ * Mann-Whitney U test and exits 3 when any cell regressed
+ * significantly (p < 0.05 AND median slower) — a statistical CI gate
+ * instead of a mean diff against a lone snapshot.
  *
  * Other flags: --cells=w/CFG[,w/CFG...] | all (default: a 2-cell
- * smoke pair), --reps=N (default 12), --legacy=MASK (which toggles
- * the B arm flips; default all), --commit=SHA (history stamp),
+ * smoke pair), --reps=N (default 12), --commit=SHA (history stamp),
  * --insts=N / --quick (bench_common sizing).
  */
 
-#include <cctype>
 #include <cstdio>
-#include <cstring>
 #include <ctime>
 #include <fstream>
 #include <map>
 #include <sstream>
 
-#include "base/hostopt.hh"
 #include "bench_common.hh"
 #include "harness/perf_stats.hh"
 
@@ -51,7 +32,7 @@ using namespace svw::harness;
 
 namespace {
 
-struct AbCell
+struct PerfCell
 {
     std::string name;  ///< "workload/CONFIG-LABEL"
     std::string workload;
@@ -59,7 +40,7 @@ struct AbCell
 };
 
 /** The perf_hotloop matrix: 4 workloads x 4 configs. */
-std::vector<AbCell>
+std::vector<PerfCell>
 fullMatrix()
 {
     std::vector<ExperimentConfig> configs(4);
@@ -72,10 +53,10 @@ fullMatrix()
     configs[3].opt = OptMode::Rle;
     configs[3].svw = SvwMode::Upd;
 
-    std::vector<AbCell> cells;
+    std::vector<PerfCell> cells;
     for (const std::string w : {"gzip", "mcf", "crafty", "perl.d"}) {
         for (const auto &cfg : configs) {
-            AbCell c;
+            PerfCell c;
             c.workload = w;
             c.config = cfg;
             c.name = w + "/" + configLabel(cfg);
@@ -102,10 +83,10 @@ splitCommas(const std::string &s)
     return out;
 }
 
-/** One timed rep of @p cell; returns host seconds, accumulates the
- * run's cycle count into @p cycles (byte-identity across arms). */
+/** One timed rep of @p cell; returns host seconds, records the run's
+ * cycle count into @p cycles (byte-identity across reps). */
 double
-timedRep(const AbCell &cell, const Program &prog, std::uint64_t insts,
+timedRep(const PerfCell &cell, const Program &prog, std::uint64_t insts,
          std::uint64_t &cycles)
 {
     RunRequest req;
@@ -119,14 +100,13 @@ timedRep(const AbCell &cell, const Program &prog, std::uint64_t insts,
     if (cycles == 0)
         cycles = res.cycles;
     else if (cycles != res.cycles)
-        svw_fatal("cycle mismatch across reps/arms in ", cell.name,
-                  ": ", cycles, " vs ", res.cycles,
-                  " (a hostopt toggle is not host-side-only)");
+        svw_fatal("cycle mismatch across reps in ", cell.name,
+                  ": ", cycles, " vs ", res.cycles);
     return secs;
 }
 
 std::string
-jsonSampleLine(const std::string &commit, const AbCell &cell,
+jsonSampleLine(const std::string &commit, const PerfCell &cell,
                std::uint64_t insts, const std::vector<double> &secs)
 {
     std::ostringstream os;
@@ -180,36 +160,22 @@ parseHistoryLine(const std::string &line, std::string &cell,
     return !secs.empty();
 }
 
-const char *
-verdictText(const MannWhitneyResult &mw)
-{
-    if (mw.p >= 0.05)
-        return "no significant difference";
-    return mw.medianShift < 0 ? "A faster (significant)"
-                              : "B faster (significant)";
-}
-
 } // namespace
 
 int
 main(int argc, char **argv)
 {
-    bool modeAb = false;
     std::string historyPath;
     bool historyAppend = false, historyCheck = false;
     std::string cellsArg;
     std::string commit = "unknown";
     unsigned reps = 12;
-    unsigned legacyMask =
-        hostopt::LegacyRleRelease | hostopt::LegacyWheelDrain;
 
     std::vector<char *> passDown;
     passDown.push_back(argv[0]);
     for (int i = 1; i < argc; ++i) {
         const std::string a = argv[i];
-        if (a == "--ab")
-            modeAb = true;
-        else if (a.rfind("--history=", 0) == 0)
+        if (a.rfind("--history=", 0) == 0)
             historyPath = a.substr(10);
         else if (a == "--append")
             historyAppend = true;
@@ -221,46 +187,25 @@ main(int argc, char **argv)
             commit = a.substr(9);
         else if (a.rfind("--reps=", 0) == 0)
             reps = std::max(2u, parseFlagUnsigned(a.substr(7), "--reps"));
-        else if (a.rfind("--legacy=", 0) == 0) {
-            legacyMask = 0;
-            for (const std::string &tok : splitCommas(a.substr(9))) {
-                if (tok == "rle_release")
-                    legacyMask |= hostopt::LegacyRleRelease;
-                else if (tok == "wheel_drain")
-                    legacyMask |= hostopt::LegacyWheelDrain;
-                else if (tok == "all")
-                    legacyMask |= hostopt::LegacyRleRelease |
-                                  hostopt::LegacyWheelDrain;
-                else {
-                    std::fprintf(stderr,
-                                 "error: --legacy: unknown toggle '%s'"
-                                 " (rle_release, wheel_drain, all)\n",
-                                 tok.c_str());
-                    return 2;
-                }
-            }
-        } else
+        else
             passDown.push_back(argv[i]);
     }
     const BenchArgs args =
         parseArgs(static_cast<int>(passDown.size()), passDown.data());
 
-    if (modeAb + (historyAppend || historyCheck) != 1 ||
-        (historyAppend && historyCheck) ||
-        ((historyAppend || historyCheck) && historyPath.empty())) {
+    if (historyAppend == historyCheck || historyPath.empty()) {
         std::fprintf(stderr,
-                     "error: pick one mode: --ab, or --history=F with"
-                     " --append or --check\n");
+                     "error: need --history=F with --append or"
+                     " --check\n");
         return 2;
     }
 
-    // Cell selection: default is a 2-cell smoke pair covering both
-    // optimized paths (the wheel drain runs everywhere; the RLE
-    // release walk needs the 4-wide RLE machine).
-    std::vector<AbCell> cells;
-    const std::vector<AbCell> matrix = fullMatrix();
+    // Cell selection: default is a 2-cell smoke pair, one baseline
+    // cell and one on the 4-wide RLE machine.
+    std::vector<PerfCell> cells;
+    const std::vector<PerfCell> matrix = fullMatrix();
     if (cellsArg.empty()) {
-        for (const AbCell &c : matrix)
+        for (const PerfCell &c : matrix)
             if (c.name == "gzip/BASE" || c.name == "perl.d/RLE+SVW+UPD")
                 cells.push_back(c);
     } else if (cellsArg == "all") {
@@ -268,7 +213,7 @@ main(int argc, char **argv)
     } else {
         for (const std::string &name : splitCommas(cellsArg)) {
             bool found = false;
-            for (const AbCell &c : matrix) {
+            for (const PerfCell &c : matrix) {
                 if (c.name == name) {
                     cells.push_back(c);
                     found = true;
@@ -284,47 +229,10 @@ main(int argc, char **argv)
         }
     }
 
-    // Share each workload's program across its cells and arms.
+    // Share each workload's program across its cells.
     ProgramCache &progs = processProgramCache();
-
-    if (modeAb) {
-        std::printf("perf_ab: interleaved A/B, %u reps/arm, "
-                    "%llu insts, legacy mask 0x%x\n",
-                    reps,
-                    static_cast<unsigned long long>(args.insts),
-                    legacyMask);
-        std::printf("%-24s %10s %10s %8s %8s  %s\n", "cell",
-                    "A med (s)", "B med (s)", "shift%", "p", "verdict");
-        for (const AbCell &cell : cells) {
-            const Program &prog = progs.get(cell.workload, args.insts);
-            std::vector<double> armA, armB;
-            std::uint64_t cycles = 0;
-            // One untimed warmup settles page cache and allocator
-            // state before either arm is measured.
-            hostopt::legacyMask() = 0;
-            (void)timedRep(cell, prog, args.insts, cycles);
-            for (unsigned r = 0; r < reps; ++r) {
-                hostopt::legacyMask() = 0;
-                armA.push_back(timedRep(cell, prog, args.insts, cycles));
-                hostopt::legacyMask() = legacyMask;
-                armB.push_back(timedRep(cell, prog, args.insts, cycles));
-            }
-            hostopt::legacyMask() = 0;
-            const MannWhitneyResult mw = mannWhitneyU(armA, armB);
-            const double medA = median(armA), medB = median(armB);
-            std::printf("%-24s %10.4f %10.4f %+7.1f%% %8.4f  %s\n",
-                        cell.name.c_str(), medA, medB,
-                        medB > 0 ? 100.0 * (medA - medB) / medB : 0.0,
-                        mw.p, verdictText(mw));
-        }
-        return 0;
-    }
-
-    // History modes: samples are always taken with the optimizations
-    // ON (the shipping configuration).
-    hostopt::legacyMask() = 0;
     std::map<std::string, std::vector<double>> fresh;
-    for (const AbCell &cell : cells) {
+    for (const PerfCell &cell : cells) {
         const Program &prog = progs.get(cell.workload, args.insts);
         std::uint64_t cycles = 0;
         (void)timedRep(cell, prog, args.insts, cycles);  // warmup
@@ -341,7 +249,7 @@ main(int argc, char **argv)
                          historyPath.c_str());
             return 2;
         }
-        for (const AbCell &cell : cells)
+        for (const PerfCell &cell : cells)
             out << jsonSampleLine(commit, cell, args.insts,
                                   fresh[cell.name])
                 << "\n";
@@ -373,7 +281,7 @@ main(int argc, char **argv)
     bool regressed = false;
     std::printf("%-24s %10s %10s %8s %8s  %s\n", "cell", "now (s)",
                 "prior (s)", "shift%", "p", "verdict");
-    for (const AbCell &cell : cells) {
+    for (const PerfCell &cell : cells) {
         const auto it = prior.find(cell.name);
         if (it == prior.end()) {
             std::printf("%-24s  (no prior sample)\n", cell.name.c_str());

@@ -18,11 +18,11 @@
  * the whole cell (runOne: params/Core construction + run + stat
  * extraction) — slightly wider than the pre-PR4 core.run()-only clock,
  * so cross-PR comparisons straddling PR 4 read the new numbers as
- * conservative. `--jobs=N` times the cells
- * on N worker processes — per-cell `seconds` then includes host
+ * conservative. `--threads=N` times the cells
+ * on N worker threads — per-cell `seconds` then includes host
  * contention, while the `total_wall_seconds` field records the
  * wall-clock win of parallel sweeping; simulated `cycles` are identical
- * for any job count.
+ * for any thread count.
  *
  * Flags (in addition to the bench_common set):
  *   --out=FILE   JSON output path (default BENCH_hotloop.json)
@@ -30,13 +30,11 @@
  */
 
 #include <algorithm>
-#include <deque>
 #include <fstream>
 #include <sstream>
 #include <thread>
 
 #include "bench_common.hh"
-#include "harness/batch.hh"
 
 using namespace svw;
 using namespace svw::bench;
@@ -129,9 +127,9 @@ main(int argc, char **argv)
         }
     }
 
-    // Stream per-cell progress as outcomes arrive (spec order at
-    // --jobs=1, completion order under a pool): a multi-minute full
-    // sweep must not look hung.
+    // Stream per-cell progress as outcomes arrive (spec order without
+    // --threads, completion order with): a multi-minute full sweep must
+    // not look hung.
     SweepOptions opts = sweepOptions(args);
     // The timed matrix is never profiled — clock reads at every stage
     // boundary would tax the very seconds this bench publishes.
@@ -164,14 +162,9 @@ main(int argc, char **argv)
     const double totalWall = hostSeconds() - wall0;
     const bool sweepFailed = reportFailures(res) != 0;
 
-    // Batched co-simulation A/B: the same matrix in its figure-sweep
-    // shape — golden check on (the shared pass is what batching
-    // amortizes), one timing rep, batchable — timed at --batch=1 and
-    // --batch=2, alternating per rep so host drift hits both sides.
-    // Simulated results are byte-identical either way (the CI diff
-    // gate holds the figures to that); this records the honest host
-    // wall-time ratio next to the per-unit breakdown.
-    SweepSpec ab("hotloop_batch_ab");
+    // The matrix in its figure-sweep shape — golden check on, one
+    // timing rep — for the thread-scaling curve below.
+    SweepSpec scaling("hotloop_thread_scaling");
     for (const auto &w : suite) {
         for (const auto &cfg : configs) {
             SweepCell c;
@@ -181,39 +174,12 @@ main(int argc, char **argv)
             c.targetInsts = args.insts;
             c.config = cfg;
             c.goldenCheck = true;
-            ab.add(c);
+            scaling.add(c);
         }
     }
-    SweepOptions abOpts = opts;
-    abOpts.onCellDone = nullptr;
-    abOpts.jobs = 1;  // in-process: isolate batching from pool effects
-    double abWall1 = 0.0, abWall2 = 0.0;
-    std::vector<CellOutcome> abOutcomes;
-    for (unsigned r = 0; r < reps; ++r) {
-        abOpts.batch = 1;
-        double t = hostSeconds();
-        (void)runSweep(ab, abOpts);
-        const double w1 = hostSeconds() - t;
-        abOpts.batch = 2;
-        t = hostSeconds();
-        SweepResults r2 = runSweep(ab, abOpts);
-        const double w2 = hostSeconds() - t;
-        if (r == 0 || w1 < abWall1)
-            abWall1 = w1;
-        if (r == 0 || w2 < abWall2) {
-            abWall2 = w2;
-            abOutcomes.clear();
-            for (std::size_t i = 0; i < ab.size(); ++i)
-                abOutcomes.push_back(r2.outcome(i));
-        }
-    }
-    std::printf("batch A/B (--jobs=1, best of %u): batch=1 %.3fs, "
-                "batch=2 %.3fs, speedup %.3fx\n",
-                reps, abWall1, abWall2,
-                abWall2 > 0.0 ? abWall1 / abWall2 : 0.0);
 
-    // Thread-pool scaling: the same matrix (solo lanes, golden check
-    // on) timed at --threads=1/2/4, interleaved per rep so host drift
+    // Thread scaling: the figure-shaped matrix timed at
+    // --threads=1/2/4, interleaved per rep so host drift
     // hits every width equally; best-of-reps per width. Simulated
     // results are byte-identical at every width (CI gates the figures
     // on that) — this records the honest host wall-clock curve. On a
@@ -224,20 +190,18 @@ main(int argc, char **argv)
     {
         SweepOptions tOpts = opts;
         tOpts.onCellDone = nullptr;
-        tOpts.jobs = 1;
-        tOpts.batch = 1;  // isolate thread scaling from batching
         for (unsigned r = 0; r < reps; ++r) {
             for (std::size_t k = 0; k < threadWidths.size(); ++k) {
                 tOpts.threads = threadWidths[k];
                 const double t = hostSeconds();
-                (void)runSweep(ab, tOpts);
+                (void)runSweep(scaling, tOpts);
                 const double w = hostSeconds() - t;
                 if (r == 0 || w < threadWall[k])
                     threadWall[k] = w;
             }
         }
     }
-    std::printf("thread scaling (--batch=1, best of %u):", reps);
+    std::printf("thread scaling (best of %u):", reps);
     for (std::size_t k = 0; k < threadWidths.size(); ++k)
         std::printf(" threads=%u %.3fs%s", threadWidths[k], threadWall[k],
                     k + 1 < threadWidths.size() ? "," : "");
@@ -247,14 +211,6 @@ main(int argc, char **argv)
                     threadWall[k] > 0.0 ? threadWall[0] / threadWall[k]
                                         : 0.0,
                     k + 1 < threadWidths.size() ? ", " : ")\n");
-
-    // Per-batch breakdown of the batch=2 run: re-derive the planned
-    // units (planBatches is deterministic for a fixed spec and K).
-    std::deque<std::size_t> abAll;
-    for (std::size_t i = 0; i < ab.size(); ++i)
-        abAll.push_back(i);
-    const std::vector<std::vector<std::size_t>> abUnits =
-        planBatches(ab, abAll, 2);
 
     double totalInsts = 0.0, totalSecs = 0.0;
     std::size_t nCells = 0;
@@ -269,8 +225,8 @@ main(int argc, char **argv)
     const double aggregate =
         totalSecs > 0.0 ? totalInsts / totalSecs / 1e6 : 0.0;
     std::printf("aggregate: %.3f Minsts/s over %zu cells "
-                "(%.3fs wall at --jobs=%u)\n",
-                aggregate, nCells, totalWall, args.jobs);
+                "(%.3fs wall at --threads=%u)\n",
+                aggregate, nCells, totalWall, args.threads);
 
     // Attribution pass (--profile): one *profiled* rep per cell in a
     // separate sweep, after all the timing above. Per-stage host-ns
@@ -345,7 +301,7 @@ main(int argc, char **argv)
        << "  \"unit\": \"Minsts_per_host_second\",\n"
        << "  \"insts_per_run\": " << args.insts << ",\n"
        << "  \"reps\": " << reps << ",\n"
-       << "  \"jobs\": " << args.jobs << ",\n"
+       << "  \"threads\": " << args.threads << ",\n"
        << "  \"total_wall_seconds\": " << totalWall << ",\n"
        << "  \"dyninst_hot_bytes\": " << sizeof(DynInst) << ",\n"
        << "  \"dyninst_cold_bytes\": " << sizeof(DynInstCold) << ",\n"
@@ -373,32 +329,9 @@ main(int argc, char **argv)
            << "\"mcycles_per_sec\": " << mcycles << "}";
     }
     js << "\n  ],\n";
-    js << "  \"batch_ab\": {\n"
-       << "    \"jobs\": 1,\n"
-       << "    \"golden_check\": true,\n"
-       << "    \"batch1_wall_seconds\": " << abWall1 << ",\n"
-       << "    \"batch2_wall_seconds\": " << abWall2 << ",\n"
-       << "    \"speedup_batch2_over_batch1\": "
-       << (abWall2 > 0.0 ? abWall1 / abWall2 : 0.0) << ",\n"
-       << "    \"units\": [\n";
-    for (std::size_t u = 0; u < abUnits.size(); ++u) {
-        double unitWall = 0.0;
-        js << "      {\"lanes\": " << abUnits[u].size()
-           << ", \"cells\": [";
-        for (std::size_t j = 0; j < abUnits[u].size(); ++j) {
-            const std::size_t idx = abUnits[u][j];
-            const CellOutcome &o = abOutcomes[idx];
-            unitWall = std::max(unitWall, o.hostWallSeconds);
-            js << (j ? ", " : "") << "\"" << ab.cell(idx).group << "/"
-               << ab.cell(idx).label << "\"";
-        }
-        js << "], \"unit_wall_seconds\": " << unitWall << "}"
-           << (u + 1 < abUnits.size() ? ",\n" : "\n");
-    }
-    js << "    ]\n  },\n";
     js << "  \"thread_scaling\": {\n"
-       << "    \"note\": \"wall seconds for the hotloop matrix (solo"
-          " lanes, golden check on) on the --threads=N pool, best of "
+       << "    \"note\": \"wall seconds for the hotloop matrix (golden"
+          " check on) at --threads=N, best of "
        << reps << " interleaved reps; byte-identical simulated results"
           " at every width. Single-CPU hosts show ~1.0x — wall wins"
           " require a multi-core host.\",\n"

@@ -80,8 +80,8 @@ struct StageTimes
  * flamegraph.pl-compatible folded-stack file at exit
  * (enableFoldedOutput). Cells accumulate by name — a binary running
  * several sweeps (or several reps) over the same cells folds them into
- * one stack set. Thread-safe (thread-pool workers record through the
- * parent thread, but keep it safe regardless).
+ * one stack set. Thread-safe (worker-thread outcomes are recorded on
+ * the driving thread, but keep it safe regardless).
  */
 class Collector
 {

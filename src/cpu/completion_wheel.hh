@@ -31,7 +31,6 @@
 #include <utility>
 #include <vector>
 
-#include "base/hostopt.hh"
 #include "base/logging.hh"
 #include "base/types.hh"
 
@@ -44,7 +43,7 @@ class CompletionWheel
     /** @p horizon must be a power of two and exceed the largest common
      * scheduling delta (larger deltas still work via overflow). */
     explicit CompletionWheel(std::size_t horizon = 1024)
-        : mask(horizon - 1), buckets(horizon), busy((horizon + 63) / 64, 0)
+        : mask(horizon - 1), buckets(horizon)
     {
         svw_assert(horizon > 1 && (horizon & (horizon - 1)) == 0,
                    "wheel horizon must be a power of two");
@@ -56,13 +55,10 @@ class CompletionWheel
     {
         if (due <= now)
             due = now + 1;
-        if (due - now <= mask) {
-            const std::size_t b = due & mask;
-            buckets[b].push_back(seq);
-            busy[b >> 6] |= std::uint64_t(1) << (b & 63);
-        } else {
+        if (due - now <= mask)
+            buckets[due & mask].push_back(seq);
+        else
             overflow.emplace(due, seq);
-        }
         ++pending;
     }
 
@@ -83,20 +79,7 @@ class CompletionWheel
             --pending;
             fn(seq);
         }
-        const std::size_t b = now & mask;
-        if (!hostopt::legacy(hostopt::LegacyWheelDrain)) {
-            // Occupancy bitmap: 16 hot words cover the 1024 buckets, so
-            // the common no-event tick skips the scattered load of this
-            // slot's vector header (profiling put the per-tick wheel
-            // advance at ~10% of host time; most ticks drain nothing).
-            // A set bit over an empty bucket (left by a legacy-mode
-            // drain in A/B runs) just falls through to the empty check.
-            const std::uint64_t bit = std::uint64_t(1) << (b & 63);
-            if (!(busy[b >> 6] & bit))
-                return;
-            busy[b >> 6] &= ~bit;
-        }
-        auto &bucket = buckets[b];
+        auto &bucket = buckets[now & mask];
         if (bucket.empty())
             return;
         // Swap out the bucket: fn may schedule, but never for this slot
@@ -111,7 +94,6 @@ class CompletionWheel
   private:
     std::size_t mask;
     std::vector<std::vector<InstSeqNum>> buckets;
-    std::vector<std::uint64_t> busy;  ///< one bit per bucket: non-empty
     std::multimap<Cycle, InstSeqNum> overflow;
     std::vector<InstSeqNum> scratch;  ///< reused drain buffer
     std::size_t pending = 0;

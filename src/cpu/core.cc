@@ -8,7 +8,7 @@
 namespace svw {
 
 Core::Core(const CoreParams &p, const Program &program,
-           stats::StatRegistry &reg, const MemoryImage *sharedImage)
+           stats::StatRegistry &reg)
     : retired(reg, "core.retired", "instructions retired"),
       retiredLoads(reg, "core.retiredLoads", "loads retired"),
       retiredStores(reg, "core.retiredStores", "stores retired"),
@@ -62,10 +62,7 @@ Core::Core(const CoreParams &p, const Program &program,
                  p.fetchWidth)
 {
     preText = prog.predecoded().data();
-    if (sharedImage)
-        committedMem.setBacking(sharedImage);
-    else
-        committedMem.loadProgram(program);
+    committedMem.loadProgram(program);
     rename.regs().setValue(rename.map(regSp), program.stackTop());
     for (unsigned b = 0; b < p.mem.l1dBanks; ++b)
         loadBankPorts.emplace_back(1);
@@ -101,22 +98,9 @@ Core::archReg(RegIndex a) const
 RunOutcome
 Core::run(std::uint64_t maxInsts, std::uint64_t maxCycles)
 {
-    advance(maxInsts, maxCycles, ~std::uint64_t(0));
-    return outcome();
-}
-
-bool
-Core::advance(std::uint64_t maxInsts, std::uint64_t maxCycles,
-              std::uint64_t quantum)
-{
-    if (now >= maxCycles)
-        return true;
-    const std::uint64_t stop =
-        quantum < maxCycles - now ? now + quantum : maxCycles;
-    while (!haltCommitted && retired.value() < maxInsts && now < stop)
+    while (!haltCommitted && retired.value() < maxInsts && now < maxCycles)
         tick();
-    return haltCommitted || retired.value() >= maxInsts ||
-           now >= maxCycles;
+    return outcome();
 }
 
 void

@@ -12,17 +12,6 @@ Interp::Interp(const Program &p)
     regs[regSp] = p.stackTop();
 }
 
-Interp::Interp(const Program &p, const MemoryImage *sharedImage)
-    : prog(p), _pc(p.entry())
-{
-    if (sharedImage)
-        mem.setBacking(sharedImage);
-    else
-        mem.loadProgram(p);
-    regs.fill(0);
-    regs[regSp] = p.stackTop();
-}
-
 bool
 Interp::step()
 {

@@ -36,18 +36,6 @@ class MemoryImage
   public:
     static constexpr unsigned pageBytes = 4096;
 
-    /**
-     * Attach a shared read-only backing image (batched co-simulation:
-     * K lanes of one workload share one program image instead of each
-     * copying every initial segment). Reads fall through to the
-     * backing where this image has no page of its own; the first write
-     * to a backed page copies it in (page-granularity copy-on-write),
-     * so the backing is never mutated. The backing must outlive this
-     * image, must not change while attached, and must itself be
-     * unbacked (one level only). Attach before any access.
-     */
-    void setBacking(const MemoryImage *base);
-
     /** Read @p size bytes (1/2/4/8) at @p addr, zero-extended. */
     std::uint64_t read(Addr addr, unsigned size) const;
 
@@ -60,25 +48,21 @@ class MemoryImage
     /** Apply a program's initial data segments. */
     void loadProgram(const Program &prog);
 
-    /** Number of pages written into *this* image (footprint metric;
-     * pages served read-only from the backing are not counted). */
+    /** Number of pages written (footprint metric). */
     std::size_t pageCount() const { return pages.size(); }
 
     /**
-     * Compare with @p other over the union of touched pages, backing
-     * included on both sides.
+     * Compare with @p other over the union of touched pages.
      * @return true if every byte matches (untouched pages read as zero).
      */
     bool identicalTo(const MemoryImage &other) const;
 
-    /** Drop all contents written into this image (the backing, if any,
-     * stays attached: state returns to the pristine backed view). */
+    /** Drop all contents. */
     void clear()
     {
         pages.clear();
         lastPageNum = badPage;
         lastPage = nullptr;
-        lastOwned = false;
         ptab.fill(PtabEntry{});
     }
 
@@ -92,39 +76,28 @@ class MemoryImage
     {
         Addr pageNum = badPage;
         Page *page = nullptr;
-        /** Page lives in this image (writable), not in the backing. */
-        bool owned = false;
     };
 
     /** Page lookup for reads: last-page cache, then the direct-mapped
-     * table, then the hash map, then the backing (filling both caches
-     * on a hit). nullptr if absent everywhere. */
+     * table, then the hash map (filling both caches on a hit). nullptr
+     * if absent. */
     Page *findPage(Addr pageNum) const;
 
-    /** Like findPage but for writes: creates (or copies in from the
-     * backing) an owned page if this image has none. */
+    /** Like findPage but for writes: creates a zeroed page if absent. */
     Page &getPage(Addr pageNum);
 
-    void cachePage(Addr pageNum, Page *p, bool owned) const
+    void cachePage(Addr pageNum, Page *p) const
     {
         lastPageNum = pageNum;
         lastPage = p;
-        lastOwned = owned;
-        ptab[pageNum & (ptabEntries - 1)] = PtabEntry{pageNum, p, owned};
+        ptab[pageNum & (ptabEntries - 1)] = PtabEntry{pageNum, p};
     }
 
-    /** Effective read-view of @p pageNum (own page shadows backing);
-     * nullptr when untouched on both levels. Cache-bypassing: used by
-     * the comparison walk, not the access fast path. */
-    const Page *peekPage(Addr pageNum) const;
-
     std::unordered_map<Addr, std::unique_ptr<Page>> pages;
-    const MemoryImage *backing = nullptr;
 
     // Lookup caches (logically const: they never change visible state).
     mutable Addr lastPageNum = badPage;
     mutable Page *lastPage = nullptr;
-    mutable bool lastOwned = false;
     mutable std::array<PtabEntry, ptabEntries> ptab{};
 };
 

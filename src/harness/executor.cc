@@ -33,7 +33,7 @@ ProgramCache::get(const std::string &workload, std::uint64_t targetInsts)
         slot->program.emplace(workloads::make(workload, targetInsts));
         // Force the lazy per-instruction predecode table NOW, while
         // this thread still owns the program exclusively: once the
-        // slot is published, thread-pool workers share the Program
+        // slot is published, worker threads share the Program
         // const-ref, and a first-use build from two cores at once
         // would race on the mutable table.
         slot->program->predecoded();
@@ -187,8 +187,7 @@ processProgramCache()
 {
     // Function-local static: built programs persist for the process
     // (bench binaries exit after a few sweeps; tests share workloads
-    // across many small sweeps). Pool workers fork with a snapshot of
-    // the parent's cache and extend their own copy.
+    // across many small sweeps).
     static ProgramCache cache;
     return cache;
 }

@@ -3,45 +3,20 @@
  * Sweep executor primitives: execution options, the per-cell runner
  * (runCell), the process-wide ProgramCache and in-memory result-cache
  * front, and the legacy one-shot runSweep entry point. Orchestration —
- * shard selection, cache probing, unit planning, the sequential /
- * thread-pool / fork-pool paths, and the streaming per-cell event API
- * — lives in harness/session.hh (SweepSession); runSweep is a thin
- * wrapper that opens a session and runs it to completion. A sweep runs
- * in-process (--jobs=1), across a pool of forked worker processes
- * (--jobs=N), or across a pool of worker threads in one address space
- * (--threads=N), with optional cross-machine sharding (--shard=i/n),
- * and merges per-cell results in spec order.
+ * shard selection, cache probing, dealing cells to the caller or to
+ * worker threads, and the streaming per-cell event API — lives in
+ * harness/session.hh (SweepSession); runSweep is a thin wrapper that
+ * opens a session and runs it to completion.
  *
- * Worker protocol (docs/ARCHITECTURE.md "Sweep engine"): the parent
- * forks N workers after the spec is built (so cells' hooks and configs
- * are inherited), plans the pending cells into co-simulation units
- * (harness/batch.hh planBatches; a unit is one cell, or up to --batch
- * compatible cells of one workload), then dynamically deals units to
- * idle workers over per-worker command pipes (an 8-byte little-endian
- * lane count, ~0 = quit, followed by that many 8-byte cell indices).
- * A worker executes each unit in isolation — runCell for singletons,
- * runBatch for wider units — and streams back one JSON line per cell
- * in unit order (harness/serialize.hh) on its result pipe. The parent
- * polls result pipes, stores outcomes by cell index, and deals the
- * next pending unit once a unit is fully reported. A crashed worker
- * fails only its in-flight unit's unreported cells; the parent reaps
- * it, records the failures, respawns a replacement, and the merged
- * report stays intact.
- *
- * Thread pool (docs/ARCHITECTURE.md "Thread-pool executor"): with
- * --threads=N the same planned units are pulled from a shared deque by
- * N std::thread workers running runCell/runBatch directly — no fork,
- * no pipes, no serialization. All workers share one ProgramCache (one
- * decode per (workload, insts) for the whole sweep, not per worker
- * process) and the process-wide in-memory ResultCache front. A unit
- * that throws fails only its own cells (recorded with the exception
- * text) and the worker thread moves on — the thread analogue of the
- * fork pool's exception containment; a unit that *crashes* the
- * process cannot be contained without fork. --jobs and --threads are
- * mutually exclusive ways to parallelize one sweep: --threads=N (N >=
- * 1) takes the thread pool, else --jobs=N (N > 1) takes the fork
- * pool; both > 1 together is an error. Merged results are
- * byte-identical across all modes and counts.
+ * A sweep runs in the calling thread (threads=0) or across N worker
+ * threads in one address space (--threads=N), with optional
+ * cross-machine sharding (--shard=i/n), and merges per-cell results in
+ * spec order. All workers share one ProgramCache (one decode per
+ * (workload, insts) for the whole sweep) and the process-wide
+ * in-memory ResultCache front. A cell that throws fails only itself
+ * (recorded with the exception text); a cell that *crashes* takes the
+ * process down — sweep_driver's shard processes are the isolation
+ * boundary. Merged results are byte-identical across thread counts.
  *
  * Sharding partitions by *group* (figure row), not by cell, so every
  * row's baseline and variants land in the same shard and speedup
@@ -76,30 +51,13 @@ inline constexpr std::uint64_t memoryResultCacheDefaultMaxBytes =
 /** How to execute a sweep. */
 struct SweepOptions
 {
-    /** Worker processes; 1 = in-process (debug/tracing-friendly,
-     * failures propagate as exceptions like a plain runOne loop). */
-    unsigned jobs = 1;
     /**
-     * Worker threads; 0 = off. When >= 1, cells run on this many
-     * std::thread workers in one address space, sharing the process
-     * ProgramCache and the in-memory ResultCache front — no fork, no
-     * result pipes. Mutually exclusive with jobs > 1 (asserted; the
-     * flag layer exits 2). Unlike the fork pool, a crashing cell
-     * takes the whole process down (exceptions are still contained
-     * per unit); unlike the in-process path, --threads=1 contains
-     * exceptions rather than propagating them.
+     * Worker threads; 0 = run cells in the calling thread. When >= 1,
+     * cells run on this many std::thread workers in one address space,
+     * sharing the process ProgramCache and the in-memory ResultCache
+     * front. Exceptions are contained per cell either way.
      */
     unsigned threads = 0;
-    /**
-     * Co-simulation batch width (harness/batch.hh): compatible cells
-     * of one workload are advanced in lockstep as one unit of up to
-     * this many lanes, sharing the program, the base memory image and
-     * the golden-model pass. 0 = auto (resolveBatchK's default), 1 =
-     * off. Merged results are byte-identical for every value — the
-     * same invariant as `jobs`. Under a pool, one unit is one deal, so
-     * large batches coarsen work distribution.
-     */
-    unsigned batch = 0;
     /**
      * When nonzero and a cacheDir is set: after the sweep's results
      * are stored, LRU-trim the cache directory to at most this many
@@ -114,7 +72,7 @@ struct SweepOptions
     /**
      * Persistent result-cache directory (harness/sweep.hh ResultCache);
      * empty disables caching. Cacheable cells are looked up *before*
-     * any cell is dealt to a worker — a hit is recorded as a completed
+     * any cell is dealt — a hit is recorded as a completed
      * outcome (cached=true, zero timing) without running anything —
      * and successful misses are stored after the sweep, so a repeated
      * sweep only simulates changed cells.
@@ -139,9 +97,9 @@ struct SweepOptions
      */
     bool profile = false;
     /**
-     * Progress callback, invoked in the parent as each cell outcome is
-     * recorded (completion order under a worker pool; spec order
-     * in-process). Long sweeps stream per-cell status through this.
+     * Progress callback, invoked on the driving thread as each cell
+     * outcome is recorded (completion order with worker threads; spec
+     * order without). Long sweeps stream per-cell status through this.
      */
     std::function<void(std::size_t cellIndex, const CellOutcome &)>
         onCellDone;
@@ -151,16 +109,13 @@ struct SweepOptions
 double hostSeconds();
 
 /**
- * Executor-owned execution counters. Atomic because thread-pool
- * workers bump them concurrently; one instance per process
- * (execCounters()), so fork-pool workers still accumulate into their
- * own copy-on-write copies, never the parent's.
+ * Executor-owned execution counters. Atomic because worker threads
+ * bump them concurrently; one instance per process (execCounters()).
  */
 class ExecCounters
 {
   public:
-    /** Cell executions: runCell invocations plus every lane of a
-     * runBatch unit. */
+    /** Cell executions (runCell invocations). */
     std::uint64_t cellRuns() const
     {
         return cellRuns_.load(std::memory_order_relaxed);
@@ -178,22 +133,11 @@ class ExecCounters
 /** The calling process's executor counters. */
 ExecCounters &execCounters();
 
-/** Count of cell executions in the *calling* process — runCell
- * invocations plus every lane of a runBatch unit (a pool worker's
- * executions land in the worker's own copy, not the parent's; a
- * thread worker's land here). Test instrumentation: a fully
- * warm-cache sweep serves hits in the parent, so it must leave the
- * parent's count unchanged, whatever the batch width. Accessor for
- * execCounters().cellRuns(). */
+/** Count of cell executions in this process (runCell invocations,
+ * worker threads included). Test instrumentation: a fully warm-cache
+ * sweep serves every cell from a cache, so it must leave the count
+ * unchanged. Accessor for execCounters().cellRuns(). */
 std::uint64_t runCellCalls();
-
-/**
- * Inside a pool worker: the fd of the worker's result pipe; -1 in the
- * parent / in-process path. Crash-injection tests use it to die
- * mid-protocol-line and assert the parent discards the truncated
- * record.
- */
-int workerResultFd();
 
 /**
  * Per-process cache of built workload programs: each (workload,
@@ -239,11 +183,11 @@ class ProgramCache
 };
 
 /**
- * The process-wide workload-program cache used by the in-process
- * sweep path and the pool workers: consecutive sweeps in one process
- * (batched or not) share one build of each (workload, insts) program
- * instead of rebuilding per runSweep call. Callers owning their
- * lifetime (tests) can still construct private ProgramCaches.
+ * The process-wide workload-program cache used by every sweep:
+ * consecutive sweeps in one process share one build of each
+ * (workload, insts) program instead of rebuilding per runSweep call.
+ * Callers owning their lifetime (tests) can still construct private
+ * ProgramCaches.
  */
 ProgramCache &processProgramCache();
 
@@ -322,9 +266,9 @@ class MemoryResultCache
 MemoryResultCache &processMemoryResultCache();
 
 /**
- * Execute one cell in the calling process (shared by the in-process
- * path and the workers). Does not catch: a golden-model mismatch or
- * other fatal propagates to the caller.
+ * Execute one cell in the calling thread. Does not catch: a
+ * golden-model mismatch or other fatal propagates to the caller
+ * (SweepSession contains it per cell).
  */
 CellOutcome runCell(const SweepCell &cell, ProgramCache &cache,
                     bool profile = false);

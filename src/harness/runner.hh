@@ -83,11 +83,9 @@ struct RunRequest
 RunResult runOne(const RunRequest &req, const Program &prog);
 
 /**
- * Extract a finished run's metrics from its stat registry — the single
- * extraction point shared by runOne and the batched co-simulation
- * path (harness/batch.hh), so a batched cell's RunResult is
- * byte-identical to its single-cell run by construction. Also emits
- * runOne's did-not-halt warning.
+ * Extract a finished run's metrics from its stat registry (runOne's
+ * extraction step, callable on its own by per-phase timers). Also
+ * emits runOne's did-not-halt warning.
  */
 RunResult extractRunResult(const RunRequest &req,
                            const stats::StatRegistry &reg,
@@ -96,9 +94,7 @@ RunResult extractRunResult(const RunRequest &req,
 /**
  * Golden-model comparison against an interpreter already advanced to
  * exactly out.instructions retired instructions. Sets res.goldenOk
- * and fatals (throws) on mismatch with runOne's message. The batched
- * path advances one shared interpreter lane-by-lane through here;
- * runOne passes a fresh one.
+ * and fatals (throws) on mismatch with runOne's message.
  */
 void goldenCompare(const RunRequest &req, const Core &core,
                    const RunOutcome &out, const Interp &golden,

@@ -165,7 +165,7 @@ SweepServer::SweepServer(SweepdOptions opts) : opts_(std::move(opts))
 SweepServer::~SweepServer()
 {
     // Conn dtors run first conceptually: an active SweepSession's own
-    // destructor discards pending units and joins its workers, so
+    // destructor discards pending cells and joins its workers, so
     // tearing the server down mid-sweep is safe.
     for (auto &c : conns_)
         if (c->fd >= 0)
@@ -318,6 +318,15 @@ SweepServer::startSweep(Conn &c)
     if (stopping_)
         return reject("daemon is draining");
 
+    // A misspelled or retired field would otherwise be silently
+    // ignored and the sweep run with defaults the client did not ask
+    // for.
+    for (const auto &[name, value] : params) {
+        if (name != "figure" && name != "families" && name != "bench" &&
+            name != "quick" && name != "insts" && name != "threads")
+            return reject("unknown parameter '" + name + "'");
+    }
+
     auto figIt = params.find("figure");
     if (figIt == params.end() || figIt->second.empty())
         return reject("missing 'figure' parameter");
@@ -351,17 +360,13 @@ SweepServer::startSweep(Conn &c)
         if (!parseParamNumber(it->second, insts) || insts == 0)
             return reject("bad 'insts' value '" + it->second + "'");
 
-    std::uint64_t batch = 0, threads = 0;
-    if (auto it = params.find("batch"); it != params.end())
-        if (!parseParamNumber(it->second, batch) || batch > 1024)
-            return reject("bad 'batch' value '" + it->second + "'");
+    std::uint64_t threads = 0;
     if (auto it = params.find("threads"); it != params.end())
         if (!parseParamNumber(it->second, threads) || threads > 256)
             return reject("bad 'threads' value '" + it->second + "'");
 
     harness::SweepOptions sopts;
     sopts.threads = static_cast<unsigned>(threads);
-    sopts.batch = static_cast<unsigned>(batch);
     sopts.cacheDir = opts_.cacheDir;
     // The daemon's reason to exist: the process-wide memory result
     // cache serves warm repeats even with no disk cache configured.
@@ -436,9 +441,9 @@ void
 SweepServer::failConn(Conn &c)
 {
     if (c.session) {
-        // Abort only this connection's session: pending units are
-        // dropped; the in-flight one (if threaded) completes inside
-        // finish() and its result still reaches the caches.
+        // Abort only this connection's session: pending cells are
+        // dropped; in-flight ones (if threaded) complete inside
+        // finish() and their results still reach the caches.
         c.session->abort();
         c.session->finish();
         c.session.reset();
@@ -482,7 +487,7 @@ SweepServer::stepConn(Conn &c)
         if (!more || c.session->finished())
             finishSession(c);
     } catch (const std::exception &e) {
-        // step() contains per-unit failures; anything escaping is an
+        // step() contains per-cell failures; anything escaping is an
         // engine-level fault. Report it on this stream and keep the
         // daemon alive.
         c.session.reset();
@@ -529,7 +534,7 @@ SweepServer::run()
                     owner.push_back(&c);
                 } else if (wake < 0 && !backpressured &&
                            !c.session->finished()) {
-                    // In-caller session: a unit runs this loop turn.
+                    // In-caller session: a cell runs this loop turn.
                     runnable = true;
                 }
             }
@@ -585,7 +590,7 @@ SweepServer::run()
             }
         }
 
-        // One in-caller co-simulation unit per loop turn per session:
+        // One in-caller cell per loop turn per session:
         // long sweeps interleave with socket work and each other.
         for (auto &cp : conns_) {
             Conn &c = *cp;

@@ -15,9 +15,9 @@
  *      insts=N             explicit per-cell instruction target
  *      bench=W             restrict to one workload row
  *      families=paper|synth|all   row families (default paper)
- *      batch=K             co-simulation lanes (0 = auto)
  *      threads=N           per-session worker threads (0 = run cells
  *                          on the event-loop thread, the default)
+ *    Any other field is answered with a 400 naming it.
  *    The response streams chunked JSON lines as the session advances:
  *    {"event":"started"|"done"|"cached"...} progress lines, each
  *    successful cell's lossless RunResult JSON line (byte-identical
@@ -31,7 +31,7 @@
  *  - GET /figures — JSON list of openable figure names and titles.
  *
  * Sessions run incrementally (SweepSession::start/step): with
- * threads=0 each loop turn runs one co-simulation unit of one runnable
+ * threads=0 each loop turn runs one cell of one runnable
  * session, so many sessions and socket I/O interleave on one thread;
  * with threads=N the session's workers simulate while the loop polls
  * the session wakeFd and drains completions as they land. A client

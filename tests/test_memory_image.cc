@@ -101,125 +101,21 @@ TEST(MemoryImage, ClearDropsEverything)
     EXPECT_EQ(m.pageCount(), 0u);
 }
 
-// ---------------------------------------------------------------------------
-// Copy-on-write backing (batched co-simulation lanes)
-// ---------------------------------------------------------------------------
-
-TEST(MemoryImageCow, ReadsFallThroughWithoutCopying)
+TEST(MemoryImage, IdenticalToComparesTheUnionOfPages)
 {
-    MemoryImage base, lane;
-    base.write(0x100, 8, 0xdeadbeefcafef00dull);
-    lane.setBacking(&base);
+    // An untouched page reads as zero on either side, so a page written
+    // with zeros compares equal to no page at all.
+    MemoryImage a, b;
+    a.write(0x100, 8, 7);
+    b.write(0x100, 8, 7);
+    EXPECT_TRUE(a.identicalTo(b));
+    a.write(0x10'0000, 8, 0);
+    EXPECT_TRUE(a.identicalTo(b));
+    EXPECT_TRUE(b.identicalTo(a));
 
-    EXPECT_EQ(lane.read(0x100, 8), 0xdeadbeefcafef00dull);
-    EXPECT_EQ(lane.read(0x104, 2), 0xbeefu);
-    // Pure reads never materialise an owned page.
-    EXPECT_EQ(lane.pageCount(), 0u);
-}
-
-TEST(MemoryImageCow, FirstWriteCopiesThePageAndPreservesNeighbours)
-{
-    MemoryImage base, lane;
-    base.write(0x100, 8, 0x1111'1111'1111'1111ull);
-    base.write(0x108, 8, 0x2222'2222'2222'2222ull);
-    lane.setBacking(&base);
-
-    lane.write(0x100, 1, 0xff);
-    EXPECT_EQ(lane.pageCount(), 1u);
-    // The rest of the copied-in page still shows the backing's bytes.
-    EXPECT_EQ(lane.read(0x100, 8), 0x1111'1111'1111'11ffull);
-    EXPECT_EQ(lane.read(0x108, 8), 0x2222'2222'2222'2222ull);
-    // The backing itself is never mutated.
-    EXPECT_EQ(base.read(0x100, 8), 0x1111'1111'1111'1111ull);
-    EXPECT_EQ(base.pageCount(), 1u);
-}
-
-TEST(MemoryImageCow, StraddlingWriteCopiesBothPages)
-{
-    // A write across the page boundary of a backed region must copy in
-    // both pages and splice the value correctly over backing content.
-    MemoryImage base, lane;
-    const Addr edge = MemoryImage::pageBytes - 4;
-    base.write(edge - 4, 8, ~0ull);                   // tail of page 0
-    base.write(MemoryImage::pageBytes, 8, ~0ull);     // head of page 1
-    lane.setBacking(&base);
-
-    lane.write(edge, 8, 0x8877665544332211ull);
-    EXPECT_EQ(lane.pageCount(), 2u);
-    EXPECT_EQ(lane.read(edge, 8), 0x8877665544332211ull);
-    // Backing bytes around the write survive the page copies.
-    EXPECT_EQ(lane.read(edge - 4, 4), 0xffffffffu);
-    EXPECT_EQ(lane.read(MemoryImage::pageBytes + 4, 4), 0xffffffffu);
-    // Both backing pages are untouched.
-    EXPECT_EQ(base.read(edge, 8), ~0ull);
-}
-
-TEST(MemoryImageCow, WriteToNeverTouchedSharedPageStartsFromZero)
-{
-    // A write to a page the backing never touched must come up as a
-    // fresh zero page, not garbage — and not allocate in the backing.
-    MemoryImage base, lane;
-    base.write(0x100, 8, 42);
-    lane.setBacking(&base);
-
-    lane.write(0x10'0000, 2, 0xabcd);
-    EXPECT_EQ(lane.read(0x10'0000, 8), 0xabcdu);  // high bytes zero
-    EXPECT_EQ(base.read(0x10'0000, 8), 0u);
-    EXPECT_EQ(base.pageCount(), 1u);
-}
-
-TEST(MemoryImageCow, LanesAreIsolatedFromEachOther)
-{
-    // Two lanes over one backing: each sees its own writes plus the
-    // shared image, never the sibling's writes.
-    MemoryImage base, laneA, laneB;
-    base.write(0x100, 8, 7);
-    laneA.setBacking(&base);
-    laneB.setBacking(&base);
-
-    laneA.write(0x100, 8, 111);
-    laneB.write(0x200, 8, 222);
-    EXPECT_EQ(laneA.read(0x100, 8), 111u);
-    EXPECT_EQ(laneA.read(0x200, 8), 0u);
-    EXPECT_EQ(laneB.read(0x100, 8), 7u);
-    EXPECT_EQ(laneB.read(0x200, 8), 222u);
-}
-
-TEST(MemoryImageCow, ClearRestoresThePristineBackedView)
-{
-    // clear() models lane recycling (squash to checkpoint / next cell):
-    // all private pages drop and the lane reads the backing again, with
-    // the lookup caches correctly invalidated.
-    MemoryImage base, lane;
-    base.write(0x100, 8, 7);
-    lane.setBacking(&base);
-
-    lane.write(0x100, 8, 99);          // CoW copy, also primes caches
-    ASSERT_EQ(lane.read(0x100, 8), 99u);
-    lane.clear();
-    EXPECT_EQ(lane.pageCount(), 0u);
-    EXPECT_EQ(lane.read(0x100, 8), 7u);  // backing shines through again
-    lane.write(0x100, 1, 1);             // CoW works a second time
-    EXPECT_EQ(lane.read(0x100, 8), 1u);  // low byte replaced, rest 0
-    EXPECT_EQ(base.read(0x100, 8), 7u);
-}
-
-TEST(MemoryImageCow, IdenticalToSeesThroughBacking)
-{
-    // Comparison walks the union of touched pages with the backing
-    // folded in on both sides: a lane that only shadows pages with
-    // identical bytes equals a flat image with the same content.
-    MemoryImage base, lane, flat;
-    base.write(0x100, 8, 7);
-    lane.setBacking(&base);
-    flat.write(0x100, 8, 7);
-    EXPECT_TRUE(lane.identicalTo(flat));
-    EXPECT_TRUE(flat.identicalTo(lane));
-
-    lane.write(0x100, 1, 8);  // diverge from the backing
-    EXPECT_FALSE(lane.identicalTo(flat));
-    flat.write(0x100, 1, 8);
-    EXPECT_TRUE(lane.identicalTo(flat));
+    b.write(0x100, 1, 8);
+    EXPECT_FALSE(a.identicalTo(b));
+    EXPECT_FALSE(b.identicalTo(a));
 }
 
 TEST(MemoryImage, LoadProgramAppliesSegments)

@@ -14,6 +14,7 @@
 #include <poll.h>
 
 #include <algorithm>
+#include <ctime>
 #include <string>
 #include <vector>
 
@@ -152,6 +153,40 @@ TEST(SweepSession, IncrementalThreadedDrainsViaWakeFd)
     EXPECT_EQ(rec.count(CellEventKind::Done), spec.size());
 }
 
+/**
+ * A threaded blocking run() is start/step/finish with the driving
+ * thread asleep on wakeFd() between steps: it streams Started and Done
+ * for every cell, matches the sequential results, and spends only a
+ * small share of the process CPU (a spinning driver would take about
+ * as much as the one worker).
+ */
+TEST(SweepSession, BlockingThreadedRunSleepsOnWakeFd)
+{
+    const SweepSpec spec = smallSpec(20'000);
+    const SweepResults direct = runSweep(spec, SweepOptions{});
+
+    auto cpuSeconds = [](clockid_t clock) {
+        timespec ts{};
+        ::clock_gettime(clock, &ts);
+        return double(ts.tv_sec) + double(ts.tv_nsec) * 1e-9;
+    };
+    SweepOptions opts;
+    opts.threads = 1;
+    Recorder rec;
+    SweepSession session(spec, opts);
+    const double driver0 = cpuSeconds(CLOCK_THREAD_CPUTIME_ID);
+    const double process0 = cpuSeconds(CLOCK_PROCESS_CPUTIME_ID);
+    const SweepResults res = session.run(rec.callback());
+    const double driver = cpuSeconds(CLOCK_THREAD_CPUTIME_ID) - driver0;
+    const double process = cpuSeconds(CLOCK_PROCESS_CPUTIME_ID) - process0;
+
+    EXPECT_EQ(resultLines(direct), resultLines(res));
+    EXPECT_EQ(rec.count(CellEventKind::Started), spec.size());
+    EXPECT_EQ(rec.count(CellEventKind::Done), spec.size());
+    EXPECT_LT(driver, 0.25 * process)
+        << "driver " << driver << "s of " << process << "s process CPU";
+}
+
 TEST(SweepSession, WarmMemoryCacheServesCachedHitsWithoutSimulating)
 {
     processMemoryResultCache().clear();
@@ -176,12 +211,10 @@ TEST(SweepSession, WarmMemoryCacheServesCachedHitsWithoutSimulating)
         EXPECT_TRUE(res.outcome(i).cached);
 }
 
-TEST(SweepSession, AbortDiscardsPendingUnitsOnly)
+TEST(SweepSession, AbortDiscardsPendingCellsOnly)
 {
     const SweepSpec spec = smallSpec(3800);
-    SweepOptions opts;
-    opts.batch = 1;  // one cell per unit: a precise abort boundary
-    SweepSession session(spec, opts);
+    SweepSession session(spec, SweepOptions{});
     session.start();
     EXPECT_TRUE(session.step());  // run exactly one cell
     session.abort();
@@ -238,12 +271,4 @@ TEST(MemoryResultCacheLru, EvictsOldestFirstAndKeepsNewest)
     CellKey other = collide;
     other.material = "different";
     EXPECT_FALSE(cache.get(other, out));
-}
-
-TEST(SweepSession, IncrementalRejectsForkPool)
-{
-    SweepOptions opts;
-    opts.jobs = 4;
-    SweepSession session(smallSpec(100), opts);
-    EXPECT_THROW(session.start(), std::logic_error);
 }

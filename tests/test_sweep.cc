@@ -1,9 +1,9 @@
 /**
  * @file
  * Sweep-engine tests: spec bookkeeping, wire-format exactness, the
- * parallel-execution determinism invariant (--jobs=N output ==
- * --jobs=1 output == the pre-refactor sequential runOne loop), shard
- * partitioning, worker-crash isolation, and the workload-program
+ * parallel-execution determinism invariant (--threads=N output ==
+ * sequential output == the pre-refactor sequential runOne loop), shard
+ * partitioning, per-cell failure containment, and the workload-program
  * cache.
  */
 
@@ -12,7 +12,7 @@
 #include <cmath>
 #include <limits>
 #include <sstream>
-#include <unistd.h>
+#include <stdexcept>
 
 #include "harness/executor.hh"
 #include "harness/figures.hh"
@@ -148,30 +148,6 @@ TEST(SweepSerialize, NonFiniteDoublesAreValidJsonAndRoundTrip)
         runResultFromJson("{\"ipc\":\"NotANumberSpelledWrong\"}", junk));
 }
 
-TEST(SweepSerialize, CellRecordRoundTripsWithEscapes)
-{
-    CellRecord rec;
-    rec.cellIndex = 9;
-    rec.ok = false;
-    rec.error = "panic: \"quote\"\n\ttab \\ backslash";
-    rec.seconds = 0.123;
-    rec.hostWallSeconds = 4.5e-9;
-    rec.result.workload = "gzip";
-
-    CellRecord back;
-    ASSERT_TRUE(cellRecordFromLine(cellRecordToLine(rec), back));
-    EXPECT_EQ(back.cellIndex, rec.cellIndex);
-    EXPECT_EQ(back.ok, rec.ok);
-    EXPECT_EQ(back.error, rec.error);
-    EXPECT_EQ(back.seconds, rec.seconds);
-    EXPECT_EQ(back.hostWallSeconds, rec.hostWallSeconds);
-    EXPECT_EQ(back.result.workload, rec.result.workload);
-
-    CellRecord junk;
-    EXPECT_FALSE(cellRecordFromLine("{\"cell\":", junk));
-    EXPECT_FALSE(cellRecordFromLine("not json", junk));
-}
-
 TEST(SweepProgramCache, BuildsEachProgramOnce)
 {
     ProgramCache cache;
@@ -197,7 +173,7 @@ TEST(SweepProgramCache, BuildsEachProgramOnce)
 
 /**
  * The ISSUE acceptance test: a fig5 --quick sweep produces the same
- * per-cell results at --jobs=4 as at --jobs=1, and both equal the
+ * per-cell results at --threads=4 as sequentially, and both equal the
  * pre-refactor behavior (a plain sequential runOne loop over the same
  * cells). Compared through the lossless wire format, so equality is
  * bit-exact — which makes the formatted figure byte-identical too.
@@ -210,7 +186,7 @@ TEST(SweepExecutor, Fig5QuickParallelMatchesSequentialAndGolden)
     const SweepResults rSeq = runSweep(spec, seq);
 
     SweepOptions par;
-    par.jobs = 4;
+    par.threads = 4;
     const SweepResults rPar = runSweep(spec, par);
 
     ASSERT_EQ(rSeq.spec().size(), spec.size());
@@ -232,7 +208,7 @@ TEST(SweepExecutor, Fig5QuickParallelMatchesSequentialAndGolden)
     }
 
     // And the assembled figure (what fig5_nlqls prints) is
-    // byte-identical between job counts.
+    // byte-identical between thread counts.
     auto renderFig5 = [&](const SweepResults &res) {
         FigureTable rex("Figure 5 (top): NLQ-LS % loads re-executed",
                         {"NLQ", "+SVW-UPD", "+SVW+UPD", "+PERFECT"});
@@ -259,7 +235,7 @@ TEST(SweepExecutor, ShardUnionEqualsUnshardedCellSet)
     const SweepResults rAll = runSweep(spec, all);
 
     SweepOptions s0, s1;
-    s0.jobs = s1.jobs = 2;
+    s0.threads = s1.threads = 2;
     s0.shardCount = s1.shardCount = 2;
     s0.shardIndex = 0;
     s1.shardIndex = 1;
@@ -286,139 +262,6 @@ TEST(SweepExecutor, ShardUnionEqualsUnshardedCellSet)
     EXPECT_GT(ran1, 0u);
 }
 
-TEST(SweepExecutor, WorkerCrashFailsOnlyItsCell)
-{
-    SweepSpec spec("crashy");
-    for (const std::string w : {"gzip", "crafty"}) {
-        SweepCell a = makeCell(w, "ok1", w, 3'000, true);
-        SweepCell b = makeCell(w, "ok2", w, 3'000);
-        spec.add(a);
-        spec.add(b);
-    }
-    SweepCell boom = makeCell("boom", "crash", "gzip", 3'000, true);
-    // Simulate a hard worker death mid-cell (no exception, no
-    // protocol goodbye): the pool must report it and keep going.
-    boom.hook = [](Core &core) {
-        if (core.cycle() == 50)
-            ::_exit(17);
-    };
-    const std::size_t boomIdx = spec.add(boom);
-
-    SweepOptions opts;
-    opts.jobs = 2;
-    const SweepResults res = runSweep(spec, opts);
-
-    EXPECT_EQ(res.failures(), 1u);
-    const CellOutcome &dead = res.outcome(boomIdx);
-    EXPECT_TRUE(dead.ran);
-    EXPECT_FALSE(dead.ok);
-    EXPECT_NE(dead.error.find("boom/crash"), std::string::npos)
-        << dead.error;
-    EXPECT_FALSE(res.groupOk("boom"));
-
-    // Every other cell survived with a valid result, so the merged
-    // report is intact. (No sequential reference pass here: in-process
-    // execution would run the crash hook inside this test binary.)
-    for (const std::string w : {"gzip", "crafty"}) {
-        EXPECT_TRUE(res.groupOk(w));
-        for (const char *l : {"ok1", "ok2"}) {
-            const CellOutcome &o = res.outcome(w, l);
-            ASSERT_TRUE(o.ran && o.ok);
-            EXPECT_TRUE(o.result.halted);
-            EXPECT_TRUE(o.result.goldenOk);
-            EXPECT_GT(o.result.cycles, 0u);
-        }
-    }
-}
-
-TEST(SweepExecutor, WorkerDeathMidLineDiscardsTruncatedRecord)
-{
-    // Regression: a worker that dies halfway through writing its
-    // result line leaves a truncated trailing line (no '\n') in the
-    // parent's drain buffer. The merge path must discard it and fail
-    // the cell with the death diagnosis — never feed the fragment to
-    // the deserializer or let it corrupt another cell's outcome.
-    SweepSpec spec("truncated");
-    for (const std::string w : {"gzip", "crafty"}) {
-        spec.add(makeCell(w, "ok1", w, 3'000, true));
-        spec.add(makeCell(w, "ok2", w, 3'000));
-    }
-    SweepCell boom = makeCell("boom", "midwrite", "gzip", 3'000, true);
-    boom.hook = [](Core &core) {
-        if (core.cycle() == 40) {
-            // A plausible record prefix — cut off mid-field, no
-            // newline — straight onto the worker's result pipe, then
-            // a hard death.
-            static const char partial[] =
-                "{\"cell\":0,\"ok\":true,\"seconds\":0.25";
-            (void)!::write(workerResultFd(), partial,
-                           sizeof(partial) - 1);
-            ::_exit(3);
-        }
-    };
-    const std::size_t boomIdx = spec.add(boom);
-
-    SweepOptions opts;
-    opts.jobs = 2;
-    const SweepResults res = runSweep(spec, opts);
-
-    EXPECT_EQ(res.failures(), 1u);
-    const CellOutcome &dead = res.outcome(boomIdx);
-    EXPECT_TRUE(dead.ran);
-    EXPECT_FALSE(dead.ok);
-    EXPECT_NE(dead.error.find("exited with status 3"),
-              std::string::npos)
-        << dead.error;
-    EXPECT_NE(dead.error.find("boom/midwrite"), std::string::npos);
-    // The fragment's values never reached the outcome.
-    EXPECT_EQ(dead.result.cycles, 0u);
-    EXPECT_EQ(dead.seconds, 0.0);
-    for (const std::string w : {"gzip", "crafty"}) {
-        EXPECT_TRUE(res.groupOk(w));
-        for (const char *l : {"ok1", "ok2"}) {
-            const CellOutcome &o = res.outcome(w, l);
-            ASSERT_TRUE(o.ran && o.ok);
-            EXPECT_TRUE(o.result.goldenOk);
-            EXPECT_GT(o.result.cycles, 0u);
-        }
-    }
-}
-
-TEST(SweepExecutor, CompleteLineForWrongCellIsProtocolCorruption)
-{
-    // A complete line with a bogus cell index (a worker gone insane)
-    // must be treated as protocol corruption: the in-flight cell
-    // fails, the worker is retired, and the rest of the sweep merges.
-    SweepSpec spec("corrupt");
-    spec.add(makeCell("gzip", "ok1", "gzip", 3'000, true));
-    spec.add(makeCell("gzip", "ok2", "gzip", 3'000));
-    SweepCell liar = makeCell("liar", "wrongidx", "gzip", 3'000, true);
-    liar.hook = [](Core &core) {
-        if (core.cycle() == 40) {
-            static const char bogus[] =
-                "{\"cell\":999,\"ok\":true,\"error\":\"\","
-                "\"seconds\":0.1,\"host_wall_seconds\":0.1,"
-                "\"result\":{}}\n";
-            (void)!::write(workerResultFd(), bogus, sizeof(bogus) - 1);
-            ::_exit(0);
-        }
-    };
-    const std::size_t liarIdx = spec.add(liar);
-
-    SweepOptions opts;
-    opts.jobs = 2;
-    const SweepResults res = runSweep(spec, opts);
-
-    EXPECT_EQ(res.failures(), 1u);
-    const CellOutcome &bad = res.outcome(liarIdx);
-    EXPECT_TRUE(bad.ran);
-    EXPECT_FALSE(bad.ok);
-    EXPECT_NE(bad.error.find("malformed worker record"),
-              std::string::npos)
-        << bad.error;
-    EXPECT_TRUE(res.groupOk("gzip"));
-}
-
 TEST(SweepExecutor, OversplitShardWarnsAndRunsNothing)
 {
     const SweepSpec spec = fig5Spec({"gzip"}, 2'000);  // one group
@@ -439,11 +282,11 @@ TEST(SweepExecutor, OversplitShardWarnsAndRunsNothing)
     EXPECT_TRUE(res.shardGroups().empty());
 }
 
-TEST(SweepExecutor, MoreJobsThanCellsAndGoldenFailureIsReported)
+TEST(SweepExecutor, MoreThreadsThanCellsAndThrownFailureIsReported)
 {
-    // jobs far beyond the cell count must not hang or leak workers,
-    // and a thrown failure inside a worker (not a crash) comes back as
-    // a failed cell with the exception text.
+    // Threads far beyond the cell count must not hang or leak workers,
+    // and a thrown failure inside a cell comes back as a failed cell
+    // with the exception text — in the caller's thread too.
     SweepSpec spec("tiny");
     SweepCell good = makeCell("g", "good", "gzip", 2'000, true);
     spec.add(good);
@@ -453,14 +296,16 @@ TEST(SweepExecutor, MoreJobsThanCellsAndGoldenFailureIsReported)
     };
     const std::size_t badIdx = spec.add(bad);
 
-    SweepOptions opts;
-    opts.jobs = 8;
-    const SweepResults res = runSweep(spec, opts);
-    EXPECT_TRUE(res.outcome(0).ok);
-    EXPECT_FALSE(res.outcome(badIdx).ok);
-    EXPECT_NE(res.outcome(badIdx).error.find("injected cell failure"),
-              std::string::npos)
-        << res.outcome(badIdx).error;
-    EXPECT_FALSE(res.groupOk("g"));
-    EXPECT_EQ(res.failures(), 1u);
+    for (unsigned threads : {8u, 0u}) {
+        SweepOptions opts;
+        opts.threads = threads;
+        const SweepResults res = runSweep(spec, opts);
+        EXPECT_TRUE(res.outcome(0).ok) << "threads=" << threads;
+        EXPECT_FALSE(res.outcome(badIdx).ok) << "threads=" << threads;
+        EXPECT_NE(res.outcome(badIdx).error.find("injected cell failure"),
+                  std::string::npos)
+            << res.outcome(badIdx).error;
+        EXPECT_FALSE(res.groupOk("g"));
+        EXPECT_EQ(res.failures(), 1u) << "threads=" << threads;
+    }
 }

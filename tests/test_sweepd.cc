@@ -23,6 +23,7 @@
 #include <cstring>
 #include <string>
 #include <thread>
+#include <utility>
 #include <vector>
 
 #include "harness/executor.hh"
@@ -206,7 +207,7 @@ TEST_F(SweepdTest, StreamedResultsMatchEngineByteForByte)
 {
     // The CLI binaries serialize the same engine outcomes with the
     // same runResultToJson, so matching the engine's sequential
-    // results in spec order IS matching the CLI at --jobs=1.
+    // results in spec order IS matching the sequential CLI.
     const harness::SweepSpec spec =
         harness::fig5Spec({"gzip"}, 11'000);
     const harness::SweepResults direct =
@@ -338,6 +339,31 @@ TEST_F(SweepdTest, MalformedAndOversizedRequestsGet400)
 
     // The daemon survived all of it.
     EXPECT_NE(getPath(port(), "/status").find("200 OK"),
+              std::string::npos);
+}
+
+TEST_F(SweepdTest, UnknownFormFieldIsRejectedByName)
+{
+    // A retired field (batch=) or a typo (thread=) must not be
+    // silently ignored: the sweep would run with defaults the client
+    // did not ask for.
+    const std::pair<const char *, const char *> cases[] = {
+        {"figure=fig5&quick=1&batch=4", "batch"},
+        {"figure=fig5&quick=1&thread=4", "thread"},
+    };
+    for (const auto &[body, field] : cases) {
+        const std::string resp = postSweep(port(), body);
+        EXPECT_NE(resp.find("400 Bad Request"), std::string::npos)
+            << body;
+        EXPECT_NE(resp.find(std::string("unknown parameter '") + field +
+                            "'"),
+                  std::string::npos)
+            << resp;
+    }
+    // Every supported field together is still accepted.
+    EXPECT_NE(postSweep(port(), "figure=fig5&families=paper&bench=gzip"
+                                "&quick=1&insts=3000&threads=1")
+                  .find("200 OK"),
               std::string::npos);
 }
 

@@ -1,15 +1,10 @@
 /**
  * @file
- * Thread-pool executor tests (--threads=N): the byte-identity
- * invariant across the sequential path, every thread width, and the
- * fork pool; the shared-ProgramCache build-once guarantee; the
- * in-memory ResultCache front short-circuiting runCell without
- * touching the disk store; exception containment per thread-pool
- * unit; and the jobs/threads mutual-exclusion guard.
- *
- * The fork-pool comparison leg is compiled out under ThreadSanitizer:
- * TSan does not follow fork(), and the sanitized CI job runs this
- * binary — the thread widths are the code under test there.
+ * Worker-thread executor tests (--threads=N): the byte-identity
+ * invariant across the sequential path and every thread width; the
+ * shared-ProgramCache build-once guarantee; the in-memory ResultCache
+ * front short-circuiting runCell without touching the disk store; and
+ * exception containment per cell at every thread count.
  */
 
 #include <gtest/gtest.h>
@@ -20,21 +15,11 @@
 #include <string>
 #include <vector>
 
-#include <unistd.h>
-
 #include "harness/executor.hh"
 #include "harness/figures.hh"
 #include "harness/serialize.hh"
 #include "harness/sweep.hh"
 #include "prog/workloads/workloads.hh"
-
-#if defined(__SANITIZE_THREAD__)
-#define SVW_TSAN 1
-#elif defined(__has_feature)
-#if __has_feature(thread_sanitizer)
-#define SVW_TSAN 1
-#endif
-#endif
 
 using namespace svw;
 using namespace svw::harness;
@@ -82,10 +67,9 @@ struct TempDir
 } // namespace
 
 /**
- * The ISSUE acceptance test: fig5 --quick merged results are
- * bit-identical (through the lossless wire format) across the
- * sequential path, every thread width, and the fork pool — parallelism
- * reorders when cells run, never what they compute.
+ * fig5 --quick merged results are bit-identical (through the lossless
+ * wire format) across the sequential path and every thread width —
+ * parallelism reorders when cells run, never what they compute.
  */
 TEST(ThreadPool, Fig5QuickByteIdenticalAcrossAllModes)
 {
@@ -103,14 +87,6 @@ TEST(ThreadPool, Fig5QuickByteIdenticalAcrossAllModes)
         EXPECT_EQ(r.failures(), 0u) << "threads=" << threads;
         EXPECT_EQ(resultsJson(r), golden) << "threads=" << threads;
     }
-
-#ifndef SVW_TSAN
-    SweepOptions fork;
-    fork.jobs = 4;
-    const SweepResults rFork = runSweep(spec, fork);
-    EXPECT_EQ(rFork.failures(), 0u);
-    EXPECT_EQ(resultsJson(rFork), golden);
-#endif
 }
 
 /**
@@ -140,7 +116,6 @@ TEST(ThreadPool, SharedProgramCacheBuildsOnceAcrossWorkers)
 
     SweepOptions opts;
     opts.threads = 4;
-    opts.batch = 1;  // singleton units: every cell is its own deal
     const std::uint64_t builds0 = processProgramCache().builds();
     const SweepResults res = runSweep(spec, opts);
     EXPECT_EQ(res.failures(), 0u);
@@ -207,12 +182,10 @@ TEST(ThreadPool, MemoryResultCacheHitShortCircuitsRunCellAndDisk)
 }
 
 /**
- * Exception containment, thread edition: a cell whose hook throws
- * fails only itself — the worker thread survives, every other cell
- * completes, and the merged report carries the exception text
- * (mirroring the fork-pool crash-containment test in test_sweep.cc;
- * --threads=1 gets the same protocol, unlike the sequential path
- * where the throw propagates).
+ * Exception containment: a cell whose hook throws fails only itself —
+ * the worker thread (or the caller, at threads=0) survives, every
+ * other cell completes, and the merged report carries the exception
+ * text. One policy for every thread count.
  */
 TEST(ThreadPool, WorkerExceptionFailsOnlyItsCell)
 {
@@ -228,7 +201,7 @@ TEST(ThreadPool, WorkerExceptionFailsOnlyItsCell)
     };
     const std::size_t boomIdx = spec.add(boom);
 
-    for (unsigned threads : {1u, 2u}) {
+    for (unsigned threads : {0u, 1u, 2u}) {
         SweepOptions opts;
         opts.threads = threads;
         const SweepResults res = runSweep(spec, opts);
@@ -254,8 +227,8 @@ TEST(ThreadPool, WorkerExceptionFailsOnlyItsCell)
     }
 }
 
-/** An onCellDone callback that throws stops the pool and propagates
- * to the caller, like the in-process path. */
+/** An onCellDone callback that throws escapes run() to the caller;
+ * the session's destructor stops and joins the workers. */
 TEST(ThreadPool, CallbackExceptionPropagates)
 {
     SweepSpec spec("cb-throw");
@@ -267,24 +240,4 @@ TEST(ThreadPool, CallbackExceptionPropagates)
         throw std::runtime_error("callback boom");
     };
     EXPECT_THROW(runSweep(spec, opts), std::runtime_error);
-}
-
-/** Conflicting nonzero --jobs/--threads is a usage error at the flag
- * layer (exit 2, test_bench_args.cc) and a hard assert at the engine
- * layer — never a silent precedence pick. */
-TEST(ThreadPool, JobsAndThreadsAreMutuallyExclusive)
-{
-    SweepSpec spec("conflict");
-    spec.add(makeCell("gzip", "BASE", "gzip", 2'000, true));
-
-    SweepOptions both;
-    both.jobs = 4;
-    both.threads = 2;
-    EXPECT_THROW(runSweep(spec, both), std::logic_error);
-
-    // jobs=1 is the in-process default, so threads alone is fine.
-    SweepOptions ok;
-    ok.jobs = 1;
-    ok.threads = 2;
-    EXPECT_EQ(runSweep(spec, ok).failures(), 0u);
 }
