@@ -6,13 +6,13 @@
  *
  * The tick loop is the simulator's hot path, so the profiler must
  * never cost anything when it is off: Core keeps a single nullable
- * pointer to a StageTimes block, and every instrumentation site is one
- * predictable `if (stageProf)` branch (the profiled tick body is a
- * separate function, so the unprofiled path's code layout is
- * untouched). When it is on, stage boundaries read a monotonic clock
- * and charge the delta to the stage's counter — pure host-side
- * observation that never touches timing-visible simulated state, so a
- * profiled run retires bit-identical cycles and metrics.
+ * pointer to a StageTimes block and picks a profiled or unprofiled
+ * instance of its one stage sequence once per run (the unprofiled
+ * instance reads no clock); each nested-stage site is one predictable
+ * branch inside timed(). When it is on, stage boundaries read a
+ * monotonic clock and charge the delta to the stage's counter — pure
+ * host-side observation that never touches timing-visible simulated
+ * state, so a profiled run retires bit-identical cycles and metrics.
  *
  * Two stages are nested scopes: LsuSearch (the LQ/SQ/SSQ associative
  * walks, charged inside Issue) and WheelAdvance (the completion event
@@ -73,6 +73,26 @@ struct StageTimes
      * their time is already inside their parents'). */
     std::uint64_t totalNs() const;
 };
+
+/**
+ * Run @p f and return its result, charging its host time to stage
+ * @p s of @p st — or just run it, reading no clock, when @p st is null.
+ */
+template <class F>
+decltype(auto)
+timed(StageTimes *st, Stage s, F &&f)
+{
+    if (!st)
+        return f();
+    struct Charge
+    {
+        StageTimes &st;
+        Stage s;
+        std::uint64_t t0;
+        ~Charge() { st.ns[s] += nowNs() - t0; }
+    } charge{*st, s, nowNs()};
+    return f();
+}
 
 /**
  * Process-wide accumulator of per-cell attributions, filled by the

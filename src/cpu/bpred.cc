@@ -54,8 +54,6 @@ BPred::predictDirection(std::uint64_t pc)
     const unsigned gi = static_cast<unsigned>((pc ^ _ghist) & tableMask);
     const bool bPred = bimodal[bi] >= 2;
     const bool gPred = gshare[gi] >= 2;
-    const std::uint8_t used = chooser[bi] >= 2 ? gshare[gi] : bimodal[bi];
-    lastLowConf = used == 1 || used == 2;
     return chooser[bi] >= 2 ? gPred : bPred;
 }
 

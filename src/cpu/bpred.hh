@@ -27,8 +27,8 @@ struct BPredParams
 /**
  * Speculative front-end predictor state at one point in the instruction
  * stream: the global history register and the RAS top. Taken per branch
- * at fetch; squash recovery restores from it (directly for the walk
- * path, or via the rename checkpoint that embeds it).
+ * at fetch and kept in the instruction's cold record; squash recovery
+ * restores from it.
  *
  * Restoring only the RAS *top* (not the whole stack) is the paper-era
  * approximation: a wrong-path call/return imbalance deeper than one
@@ -53,15 +53,6 @@ class BPred
 
     /** Predict a conditional branch's direction at @p pc. */
     bool predictDirection(std::uint64_t pc);
-
-    /**
-     * Confidence of the most recent predictDirection: true when the
-     * selected counter was weak (1 or 2 of the 2-bit range). Weak
-     * counters supply the bulk of mispredictions, so low-confidence
-     * branches are where rename checkpoints pay off. Host-side heuristic
-     * only — never feeds back into timing.
-     */
-    bool lowConfidence() const { return lastLowConf; }
 
     /** Speculatively update global history with outcome @p taken. */
     void speculativeUpdate(bool taken);
@@ -124,7 +115,6 @@ class BPred
     };
 
     unsigned tableMask;
-    bool lastLowConf = false;
     std::vector<std::uint8_t> bimodal;  ///< 2-bit counters
     std::vector<std::uint8_t> gshare;
     std::vector<std::uint8_t> chooser;  ///< 0..3, >=2 favours gshare

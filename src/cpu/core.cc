@@ -31,19 +31,11 @@ Core::Core(const CoreParams &p, const Program &program,
                       "cycles dispatch stalled for SSN wrap drains"),
       invalidationsSeen(reg, "core.invalidationsSeen",
                         "external invalidations observed"),
-      ckptRestores(reg, "core.ckptRestores",
-                   "squashes recovered from a rename checkpoint"),
-      ckptWalks(reg, "core.ckptWalks",
-                "squashes recovered by the youngest-first walk"),
       prm(p),
       prog(program),
       mem(p.mem, reg),
       bpred(p.bpred, reg),
-      rename(p.numPhysRegs, p.renameCheckpoints,
-             // Journal capacity: one definition per in-flight
-             // instruction plus one hygiene marker per in-flight load
-             // (RLE checkpoint recovery).
-             2 * p.robEntries),
+      rename(p.numPhysRegs),
       rob(p.robEntries),
       iq(p.iqEntries, rob.ringSlots()),
       svw(p.svw, reg),
@@ -54,7 +46,6 @@ Core::Core(const CoreParams &p, const Program &program,
       spct(512, 8),
       dcachePort(p.dcachePorts),
       storeIssuePorts(p.lsu.storeIssueWidth),
-      hygieneJournalOn(p.rle.enabled && p.renameCheckpoints > 0),
       fetchPc(program.entry()),
       fetchQueue(static_cast<std::size_t>(p.frontendDepth + 1) *
                  p.fetchWidth),
@@ -85,8 +76,6 @@ Core::Core(const CoreParams &p, const Program &program,
     fsqLoadsRetired.bind(&hot.fsqLoadsRetired);
     wrapDrainCycles.bind(&hot.wrapDrainCycles);
     invalidationsSeen.bind(&hot.invalidationsSeen);
-    ckptRestores.bind(&hot.ckptRestores);
-    ckptWalks.bind(&hot.ckptWalks);
 }
 
 std::uint64_t
@@ -98,54 +87,61 @@ Core::archReg(RegIndex a) const
 RunOutcome
 Core::run(std::uint64_t maxInsts, std::uint64_t maxCycles)
 {
-    while (!haltCommitted && retired.value() < maxInsts && now < maxCycles)
-        tick();
+    if (stageProf)
+        runStages<true>(maxInsts, maxCycles);
+    else
+        runStages<false>(maxInsts, maxCycles);
     return outcome();
+}
+
+template <bool Profiled>
+void
+Core::runStages(std::uint64_t maxInsts, std::uint64_t maxCycles)
+{
+    while (!haltCommitted && retired.value() < maxInsts && now < maxCycles)
+        tickStages<Profiled>();
 }
 
 void
 Core::tick()
 {
-    if (stageProf) {
-        tickProfiled();
-        return;
-    }
-    if (perCycleHook)
-        perCycleHook(*this);
-    commitStage();
-    rex.tick(rob, rename, now);
-    completeStage();
-    issueStage();
-    dispatchStage();
-    fetchStage();
-    ++now;
-    ++hot.cycles;
+    if (stageProf)
+        tickStages<true>();
+    else
+        tickStages<false>();
 }
 
+template <bool Profiled>
 void
-Core::tickProfiled()
+Core::tickStages()
 {
-    // Same stage sequence as tick(), with a monotonic-clock read at
-    // each boundary. Host-side observation only: no simulated state
-    // depends on the readings, so cycles and metrics are bit-identical
-    // to the unprofiled body.
-    prof::StageTimes &st = *stageProf;
     if (perCycleHook)
         perCycleHook(*this);
-    std::uint64_t t = prof::nowNs(), u;
+    // Profiled: a monotonic-clock read at each stage boundary. Host-side
+    // observation only: no simulated state depends on the readings, so
+    // cycles and metrics are bit-identical to the unprofiled instance.
+    [[maybe_unused]] std::uint64_t t = Profiled ? prof::nowNs() : 0;
+    auto stageDone = [&](prof::Stage s) {
+        if constexpr (Profiled) {
+            const std::uint64_t u = prof::nowNs();
+            stageProf->ns[s] += u - t;
+            t = u;
+        }
+    };
     commitStage();
-    u = prof::nowNs(); st.ns[prof::Commit] += u - t; t = u;
+    stageDone(prof::Commit);
     rex.tick(rob, rename, now);
-    u = prof::nowNs(); st.ns[prof::Rex] += u - t; t = u;
+    stageDone(prof::Rex);
     completeStage();
-    u = prof::nowNs(); st.ns[prof::Complete] += u - t; t = u;
+    stageDone(prof::Complete);
     issueStage();
-    u = prof::nowNs(); st.ns[prof::Issue] += u - t; t = u;
+    stageDone(prof::Issue);
     dispatchStage();
-    u = prof::nowNs(); st.ns[prof::Dispatch] += u - t; t = u;
+    stageDone(prof::Dispatch);
     fetchStage();
-    u = prof::nowNs(); st.ns[prof::Fetch] += u - t;
-    ++st.ticks;
+    stageDone(prof::Fetch);
+    if constexpr (Profiled)
+        ++stageProf->ticks;
     ++now;
     ++hot.cycles;
 }
@@ -172,13 +168,7 @@ Core::drainCompletions()
 void
 Core::completeStage()
 {
-    if (stageProf) {
-        const std::uint64_t t0 = prof::nowNs();
-        drainCompletions();
-        stageProf->ns[prof::WheelAdvance] += prof::nowNs() - t0;
-    } else {
-        drainCompletions();
-    }
+    prof::timed(stageProf, prof::WheelAdvance, [this] { drainCompletions(); });
 
     // Stores whose address issued early capture data as it arrives.
     for (std::size_t i = 0; i < storesAwaitingData.size();) {
@@ -483,14 +473,9 @@ Core::tryIssue(DynInst &inst, unsigned &intUsed, unsigned &loadUsed,
 InstSeqNum
 Core::issueLoad(DynInst &load)
 {
-    LoadExecResult res;
-    if (stageProf) {
-        const std::uint64_t t0 = prof::nowNs();
-        res = lsu.executeLoad(load, now);
-        stageProf->ns[prof::LsuSearch] += prof::nowNs() - t0;
-    } else {
-        res = lsu.executeLoad(load, now);
-    }
+    const LoadExecResult res =
+        prof::timed(stageProf, prof::LsuSearch,
+                    [&] { return lsu.executeLoad(load, now); });
     if (res.status != LoadExecResult::Status::Done) {
         // A partial block is re-decided only by a change to an SQ entry
         // in [blocker, load), so the load may sleep on the SQ. An FSQ
@@ -541,14 +526,8 @@ Core::issueStore(DynInst &store)
         storesAwaitingData.push_back(store.seq);
     }
 
-    InstSeqNum victim;
-    if (stageProf) {
-        const std::uint64_t t0 = prof::nowNs();
-        victim = lsu.storeResolved(store);
-        stageProf->ns[prof::LsuSearch] += prof::nowNs() - t0;
-    } else {
-        victim = lsu.storeResolved(store);
-    }
+    const InstSeqNum victim = prof::timed(
+        stageProf, prof::LsuSearch, [&] { return lsu.storeResolved(store); });
     if (victim != 0) {
         // Associative LQ search found a premature load: flush at the
         // load and train store-sets with the exact store-load pair.
@@ -660,21 +639,6 @@ Core::dispatchOne(DynInst &d, const DynInstCold &cold)
         rename.speculativeDef(si.rd, d.prd);
     }
 
-    // ---- squash-hygiene marker for checkpoint recovery ------------------
-    // On RLE cores the youngest-first walk inspects every squashed load
-    // for IT invalidation; journal a marker right after the load's own
-    // definition so a checkpoint replay performs the same check at the
-    // same point (RenameState::restoreCheckpoint).
-    if (hygieneJournalOn && d.isLoad() && !d.eliminated)
-        rename.journalSquashHygiene(d.seq);
-
-    // ---- recovery checkpoint at low-confidence control ------------------
-    // Taken after this instruction's own definition so the snapshot is
-    // exactly the state a squash keeping d.seq must restore. Pure
-    // host-side recovery machinery; never affects timing.
-    if (d.isCtrl() && d.predLowConf)
-        d.ckptTag = rename.takeCheckpoint(d.seq, cold.bpredSnap);
-
     // ---- class-specific dispatch ---------------------------------------
     if (d.isStore()) {
         d.ssn = svw.ssn().assign();
@@ -732,28 +696,9 @@ void
 Core::squashAfter(InstSeqNum keepSeq, std::uint64_t newFetchPc,
                   const DynInst *replay)
 {
-    // Checkpoints younger than the squash point snapshot wrong-path
-    // state; drop them before looking for a covering one. With a tracer
-    // attached the walk must run anyway (it emits the Squash events), so
-    // the checkpoint is ignored — recovered state is identical either
-    // way.
-    rename.discardCheckpointsAfter(keepSeq);
-    // A resolving branch finds its checkpoint through the tag it was
-    // handed at dispatch; non-branch squash points can only match the
-    // pool's youngest survivor.
-    const RenameCheckpoint *ckpt = nullptr;
-    if (!tracer) {
-        ckpt = replay ? rename.checkpointByTag(replay->ckptTag, keepSeq)
-                      : rename.findCheckpoint(keepSeq);
-    }
-
     // ---- branch predictor state repair --------------------------------
     if (replay) {
-        // On a checkpoint hit the pooled snapshot is the same fetch-time
-        // state the replay instruction carries (wired by checkpoint tag
-        // at dispatch); otherwise read it from the instruction's cold
-        // side-record.
-        bpred.restore(ckpt ? ckpt->bpred : rob.cold(*replay).bpredSnap);
+        bpred.restore(rob.cold(*replay).bpredSnap);
         if (replay->isCondBranch())
             bpred.speculativeUpdate(replay->actualTaken);
         if (replay->isCall())
@@ -770,15 +715,6 @@ Core::squashAfter(InstSeqNum keepSeq, std::uint64_t newFetchPc,
     // ---- IT entries of squashed creators become squash-reusable -------
     rle.onSquash(keepSeq, rename);
 
-    if (ckpt) {
-        // The store-set LFST claims of squashed stores must still be
-        // released one by one; the squashed stores are exactly the SQ's
-        // age-ordered suffix, released youngest-first like the walk.
-        const auto &sq = lsu.storeQueue();
-        for (std::size_t i = sq.size(); i-- > 0 && sq[i]->seq > keepSeq;)
-            storeSets.storeSquashed(sq[i]->pc, sq[i]->seq);
-    }
-
     // ---- pointer-holder prune precedes ROB pops (IQ, LSU queues, and
     //      the rex store buffer all hold ROB slot pointers) -------------
     const std::size_t kept = rob.countUpTo(keepSeq);
@@ -786,45 +722,29 @@ Core::squashAfter(InstSeqNum keepSeq, std::uint64_t newFetchPc,
     lsu.squashAfter(keepSeq);
     rex.squashAfter(keepSeq);
 
-    if (ckpt) {
-        // ---- checkpoint recovery: map snapshot + journal replay -------
-        // Hygiene markers in the journal suffix re-run the walk's
-        // squashed-speculative-load check (see below) at the exact
-        // replay position the walk would, so IT state and free-list
-        // order come out bit-identical. No-op closure on non-RLE cores
-        // (no markers are journaled).
-        rename.restoreCheckpoint(*ckpt, [this](InstSeqNum seq) {
-            DynInst *t = rob.findBySeq(seq);
-            if (t && t->issued && !t->eliminated &&
-                (t->specExecuted || t->forwarded)) {
-                rle.onSquashedSpeculativeLoad(*t, rename);
-            }
-        });
-        rob.squashTail(keepSeq);
-        ++hot.ckptRestores;
-    } else {
-        // ---- fallback: youngest-first walk ----------------------------
-        ++hot.ckptWalks;
-        while (!rob.empty() && rob.tail().seq > keepSeq) {
-            DynInst &t = rob.tail();
-            if (tracer)
-                tracer->event(now, TraceEvent::Squash, t);
-            // Squash-reuse hygiene: a load that executed speculatively or
-            // forwarded from an in-flight (now squashed) store holds a
-            // value the correct path may never see; kill its IT entry
-            // rather than offering it for reuse. This is exactly the
-            // "forwarding store exists on the squashed path but not the
-            // correct path" corner case of section 4.3.
-            if (t.isLoad() && t.issued && !t.eliminated &&
-                (t.specExecuted || t.forwarded)) {
-                rle.onSquashedSpeculativeLoad(t, rename);
-            }
-            if (t.writesReg())
-                rename.undoLastDef();
-            if (t.isStore())
-                storeSets.storeSquashed(t.pc, t.seq);
-            rob.popTail();
+    // ---- youngest-first walk of the squashed ROB suffix ----------------
+    while (rob.size() > kept) {
+        DynInst &t = rob.tail();
+        if (tracer)
+            tracer->event(now, TraceEvent::Squash, t);
+        // Squash-reuse hygiene: a load that executed speculatively or
+        // forwarded from an in-flight (now squashed) store holds a
+        // value the correct path may never see; kill its IT entry
+        // rather than offering it for reuse. This is exactly the
+        // "forwarding store exists on the squashed path but not the
+        // correct path" corner case of section 4.3. It runs before the
+        // load's own definition is undone: an invalidation can release
+        // a register's last pin, and where that lands on the free list
+        // relative to the definition releases fixes later allocations.
+        if (t.isLoad() && t.issued && !t.eliminated &&
+            (t.specExecuted || t.forwarded)) {
+            rle.onSquashedSpeculativeLoad(t, rename);
         }
+        if (t.writesReg())
+            rename.undoDef(t.archRd, t.prd, t.prevPrd);
+        if (t.isStore())
+            storeSets.storeSquashed(t.pc, t.seq);
+        rob.popTail();
     }
 
     // ---- SSN allocation rollback ----------------------------------------

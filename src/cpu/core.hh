@@ -58,13 +58,6 @@ struct CoreParams
     unsigned robEntries = 512;
     unsigned iqEntries = 200;
     unsigned numPhysRegs = 448;
-    /**
-     * Rename-map checkpoint pool for squash recovery (0 disables and
-     * every squash takes the youngest-first walk). Host-side recovery
-     * machinery only: pool size never changes simulated timing, just
-     * how fast the simulator repairs state on a squash.
-     */
-    unsigned renameCheckpoints = 64;
 
     // Pipeline shape (15-stage base pipe).
     unsigned frontendDepth = 7;      ///< fetch->dispatch stages
@@ -143,8 +136,6 @@ class Core
         std::uint64_t fsqLoadsRetired = 0;
         std::uint64_t wrapDrainCycles = 0;
         std::uint64_t invalidationsSeen = 0;
-        std::uint64_t ckptRestores = 0;
-        std::uint64_t ckptWalks = 0;
     };
 
     /** Architectural view for golden-model comparison. */
@@ -167,8 +158,10 @@ class Core
     /**
      * Attach (or detach, with nullptr) a per-stage host-time
      * attribution block (base/profile.hh). Host-side observation only:
-     * a profiled core retires bit-identical cycles. Costs one
-     * predictable branch per tick when detached.
+     * a profiled core retires bit-identical cycles. run() reads it once
+     * per call to pick the profiled or unprofiled tick; the nested
+     * wheel_advance and lsu_search sites test it with one predictable
+     * branch each.
      */
     void setStageProfiler(prof::StageTimes *p) { stageProf = p; }
 
@@ -195,8 +188,6 @@ class Core
     stats::Scalar fsqLoadsRetired;
     stats::Scalar wrapDrainCycles;
     stats::Scalar invalidationsSeen;
-    stats::Scalar ckptRestores;      ///< squashes recovered via checkpoint
-    stats::Scalar ckptWalks;         ///< squashes recovered via the walk
 
   private:
     // --- pipeline stages (one call each per tick) ----------------------
@@ -206,8 +197,14 @@ class Core
     void dispatchStage();
     void fetchStage();
 
-    /** tick() body with stage timers (stageProf != nullptr). */
-    void tickProfiled();
+    /**
+     * One cycle: the stage sequence, written once. The profiled
+     * instance charges each stage's host time to stageProf; the
+     * unprofiled one reads no clock. run() picks the instance once.
+     */
+    template <bool Profiled> void tickStages();
+    template <bool Profiled>
+    void runStages(std::uint64_t maxInsts, std::uint64_t maxCycles);
     /** completeStage's event-wheel drain (profiled as wheel_advance). */
     void drainCompletions();
 
@@ -289,9 +286,6 @@ class Core
     Cycle now = 0;
     InstSeqNum seqCounter = 0;
     bool haltCommitted = false;
-    /** Journal IT squash-hygiene markers at load dispatch so checkpoint
-     * recovery can replay them (RLE cores with a checkpoint pool). */
-    bool hygieneJournalOn = false;
 
     /** Hot-loop counter block (see HotCounters). */
     HotCounters hot;

@@ -105,20 +105,14 @@ struct DynInst
     PhysRegIndex prs2 = invalidPhysReg;
     PhysRegIndex prd = invalidPhysReg;
     PhysRegIndex prevPrd = invalidPhysReg;  ///< old mapping of arch rd
-    /**
-     * Rename-checkpoint tag: pool slot + 1 of the checkpoint taken when
-     * this branch dispatched, 0 if none. A mispredicting branch resolves
-     * its checkpoint through this tag (RenameState::checkpointByTag),
-     * which revalidates the slot by seq before trusting it.
-     */
-    std::uint16_t ckptTag = 0;
 
     // --- pre-decoded static-instruction facts (setStatic) --------------
     std::uint16_t preFlags = 0;       ///< PreFlag bits of *si
     std::uint8_t iclass =
         static_cast<std::uint8_t>(InstClass::Nop);  ///< cached si->cls()
     std::uint8_t size = 0;            ///< access size in bytes (mem ops)
-    std::uint8_t archRd = 0;          ///< cached si->rd (commit arch map)
+    std::uint8_t archRd = 0;          ///< cached si->rd (commit arch
+                                      ///< map, squash undo)
     std::uint8_t execLat = 1;         ///< cached si->execLatency()
     std::uint8_t opByte =
         static_cast<std::uint8_t>(Opcode::Nop);  ///< cached si->op: keys
@@ -129,13 +123,6 @@ struct DynInst
     // --- status flags (one packed 32-bit cluster) ----------------------
     bool actualTaken : 1 = false;  ///< conditional-branch outcome
     bool mispredicted : 1 = false;
-    /**
-     * Fetch-time confidence estimate for control instructions: weak
-     * direction counter, BTB-predicted indirect, or return. Dispatch
-     * allocates a rename checkpoint only for low-confidence branches
-     * (high-confidence ones rarely mispredict; the walk covers them).
-     */
-    bool predLowConf : 1 = false;
     bool dispatched : 1 = false;
     bool issued : 1 = false;
     bool completed : 1 = false;

@@ -55,7 +55,6 @@ Core::fetchStage()
         const StaticInst &si = *d.si;
         if (d.isCondBranch()) {
             const bool taken = bpred.predictDirection(d.pc);
-            d.predLowConf = bpred.lowConfidence();
             bpred.speculativeUpdate(taken);
             d.predNextPc = taken ? static_cast<std::uint32_t>(si.imm)
                                  : d.pc + 1;
@@ -64,9 +63,6 @@ Core::fetchStage()
             if (d.isCall())
                 bpred.rasPush(d.pc + 1);
         } else if (d.isIndirectCtrl()) {
-            // Indirect targets (RAS or BTB) are where the expensive
-            // mispredicts live; always checkpoint-worthy.
-            d.predLowConf = true;
             if (si.rs1 == regLink) {
                 d.predNextPc = static_cast<std::uint32_t>(bpred.rasPop());
             } else {

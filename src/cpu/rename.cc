@@ -4,27 +4,13 @@
 
 namespace svw {
 
-namespace {
-
-std::uint64_t
-ringSize(std::uint64_t atLeast)
-{
-    std::uint64_t n = 1;
-    while (n < atLeast)
-        n <<= 1;
-    return n;
-}
-
-} // namespace
-
 PhysRegFile::PhysRegFile(unsigned n)
     : vals(n, 0), ready(n, 0), refs(n, 0), gens(n, 0)
 {
 }
 
 
-RenameState::RenameState(unsigned numPhysRegs, unsigned checkpointPool,
-                         unsigned journalCapacity)
+RenameState::RenameState(unsigned numPhysRegs)
     : file(numPhysRegs)
 {
     svw_assert(numPhysRegs > numArchRegs + 8,
@@ -38,97 +24,6 @@ RenameState::RenameState(unsigned numPhysRegs, unsigned checkpointPool,
     }
     for (unsigned p = numPhysRegs; p-- > numArchRegs;)
         freeList.push_back(static_cast<PhysRegIndex>(p));
-
-    const std::uint64_t jcap =
-        journalCapacity ? journalCapacity : numPhysRegs;
-    journal.resize(ringSize(jcap));
-    journalMask = journal.size() - 1;
-
-    if (checkpointPool > 0) {
-        pool.resize(ringSize(checkpointPool));
-        poolMask = pool.size() - 1;
-        // Tags are slot + 1 in a uint16; a wider pool would silently
-        // break tag resolution (takeCheckpoint).
-        svw_assert(pool.size() <= 0xffff,
-                   "checkpoint pool too large for tags: ", pool.size());
-    }
-}
-
-
-
-void
-RenameState::undoLastDef()
-{
-    for (;;) {
-        svw_assert(journalTail > 0, "rename journal underflow");
-        const RenameJournalEntry &e =
-            journal[(--journalTail) & journalMask];
-        if (e.hygiene)
-            continue;  // walk hygiene runs off the ROB, not the journal
-        mapTable[e.rd] = e.prevPrd;
-        deref(e.prd);
-        return;
-    }
-}
-
-std::uint16_t
-RenameState::takeCheckpoint(InstSeqNum seq, const BPredCheckpoint &bp)
-{
-    if (pool.empty())
-        return 0;
-    if (poolTail - poolHead == pool.size())
-        ++poolHead;  // overwrite the oldest
-    const std::uint64_t slot = poolTail & poolMask;
-    RenameCheckpoint &ck = pool[slot];
-    ck.seq = seq;
-    ck.journalPos = journalTail;
-    ck.bpred = bp;
-    ck.map = mapTable;
-    ++poolTail;
-    return static_cast<std::uint16_t>(slot + 1);
-}
-
-void
-RenameState::discardCheckpointsAfter(InstSeqNum keepSeq)
-{
-    while (poolTail > poolHead &&
-           pool[(poolTail - 1) & poolMask].seq > keepSeq) {
-        --poolTail;
-    }
-}
-
-const RenameCheckpoint *
-RenameState::findCheckpoint(InstSeqNum keepSeq) const
-{
-    if (poolTail == poolHead)
-        return nullptr;
-    const RenameCheckpoint &ck = pool[(poolTail - 1) & poolMask];
-    return ck.seq == keepSeq ? &ck : nullptr;
-}
-
-void
-RenameState::restoreCheckpoint(const RenameCheckpoint &ck,
-                               const std::function<void(InstSeqNum)> &hygiene)
-{
-    svw_assert(journalTail >= ck.journalPos,
-               "checkpoint journal cursor ahead of the journal");
-    // Release squashed definitions youngest-first: identical free-list
-    // push order, reference counting, and generation bumps to the walk.
-    // Hygiene markers fire in place so IT invalidations interleave with
-    // the releases exactly as they do in the walk (an invalidation can
-    // drop the last pin on a register and push it to the free list; the
-    // order of that push relative to the definition releases matters).
-    while (journalTail > ck.journalPos) {
-        const RenameJournalEntry &e =
-            journal[(--journalTail) & journalMask];
-        if (e.hygiene) {
-            if (hygiene)
-                hygiene(e.seq);
-        } else {
-            deref(e.prd);
-        }
-    }
-    mapTable = ck.map;
 }
 
 } // namespace svw

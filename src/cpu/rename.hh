@@ -5,14 +5,10 @@
  * counts (register integration shares registers), and generation
  * numbers (for O(1) integration-table invalidation).
  *
- * Squash recovery is checkpoint-based with a walk fallback. Every
- * speculative map update is journaled ({rd, new, old} records in a
- * ring); a bounded pool of full map-table snapshots is taken at
- * low-confidence branches. Recovering at a checkpointed branch restores
- * the map by copy and releases the squashed definitions by replaying
- * the journal suffix youngest-first — producing bit-identical free-list
- * order, reference counts, and generations to the per-instruction
- * youngest-first walk it replaces.
+ * Squash recovery walks the squashed instructions youngest-first and
+ * undoes each definition from the instruction's own record (undoDef):
+ * a DynInst carries the {rd, prd, prevPrd} triple of the mapping it
+ * made, which is all the undo needs.
  */
 
 #ifndef SVW_CPU_RENAME_HH
@@ -20,11 +16,9 @@
 
 #include <array>
 #include <cstdint>
-#include <functional>
 #include <vector>
 
 #include "base/types.hh"
-#include "cpu/bpred.hh"
 #include "isa/inst.hh"
 
 namespace svw {
@@ -71,72 +65,15 @@ class PhysRegFile
 };
 
 /**
- * One journaled rename-time event. Two kinds share the ring so their
- * relative order — which squash recovery must replay exactly — is the
- * order they happened in:
- *
- *  - A speculative definition: arch register @c rd was pointed at
- *    @c prd, displacing @c prevPrd. Undoing it (walk) restores the map
- *    entry and releases @c prd; releasing it (checkpoint replay) only
- *    drops the @c prd reference, because the map is restored wholesale
- *    from the snapshot.
- *  - A squash-hygiene marker (@c hygiene set): load @c seq dispatched
- *    on an RLE core. The youngest-first walk inspects each squashed
- *    load directly (Core's loop) to decide whether its IntegrationTable
- *    entry must die (speculative/forwarded value, section 4.3); a
- *    checkpoint replay has no per-instruction loop, so it replays these
- *    markers instead, invoking the same check at the exact point the
- *    walk would — just before the load's own definition is released.
- */
-struct RenameJournalEntry
-{
-    InstSeqNum seq;        ///< hygiene marker: the load's seq
-    RegIndex rd;
-    PhysRegIndex prd;
-    PhysRegIndex prevPrd;
-    bool hygiene;
-};
-
-/**
- * A recovery checkpoint: the complete speculative map table as of the
- * dispatch of instruction @c seq (inclusive of its own definition),
- * the journal cursor at that moment, and the branch's fetch-time
- * predictor snapshot. Restoring it recreates the exact rename state a
- * squash keeping @c seq would reach by walking.
- *
- * Snapshots stay valid across commits: retirement never modifies the
- * speculative map table, and every journal entry younger than a
- * *reachable* squash point necessarily belongs to an instruction still
- * in the window, so the journal suffix cannot have been overwritten.
- */
-struct RenameCheckpoint
-{
-    InstSeqNum seq = 0;
-    std::uint64_t journalPos = 0;
-    BPredCheckpoint bpred{};
-    std::array<PhysRegIndex, numArchRegs> map{};
-};
-
-/**
- * Rename state: speculative map table, free list, definition journal,
- * and the checkpoint pool. The core recovers from a squash either by
- * restoring a checkpoint taken at the squash point or by walking the
- * squashed instructions youngest-first and undoing each definition
- * (undoLastDef); both leave identical state.
+ * Rename state: speculative map table and free list. The core recovers
+ * from a squash by walking the squashed instructions youngest-first and
+ * undoing each definition (undoDef).
  */
 class RenameState
 {
   public:
-    /**
-     * @param numPhysRegs total physical registers (paper: 448 / 160)
-     * @param checkpointPool max pooled map snapshots (0 = no checkpoints)
-     * @param journalCapacity max simultaneously squashable definitions;
-     *        0 sizes it from numPhysRegs (every non-shared in-flight
-     *        definition holds a distinct physical register). Pass the
-     *        ROB capacity when register sharing (RLE) is possible.
-     */
-    explicit RenameState(unsigned numPhysRegs, unsigned checkpointPool = 0,
-                         unsigned journalCapacity = 0);
+    /** @param numPhysRegs total physical registers (paper: 448 / 160) */
+    explicit RenameState(unsigned numPhysRegs);
 
     PhysRegFile &regs() { return file; }
     const PhysRegFile &regs() const { return file; }
@@ -171,119 +108,28 @@ class RenameState
     /** Extra reference for sharing (register integration). */
     void addRef(PhysRegIndex p) { file.addRef(p); }
 
-    // --- speculative definitions (journaled) --------------------------
+    // --- speculative definitions -------------------------------------
 
-    /** Point arch reg @p rd at @p p, journaling the displaced mapping. */
-    void speculativeDef(RegIndex rd, PhysRegIndex p)
+    /** Point arch reg @p rd at @p p. The caller keeps the displaced
+     * mapping (DynInst::prevPrd) for undoDef and commit. */
+    void speculativeDef(RegIndex rd, PhysRegIndex p) { mapTable[rd] = p; }
+
+    /**
+     * Squash-walk step: undo the definition that pointed @p rd at
+     * @p prd, displacing @p prevPrd (restore the mapping, release
+     * @p prd). Undoing every squashed definition youngest-first
+     * restores the map, reference counts and free-list order exactly.
+     */
+    void undoDef(RegIndex rd, PhysRegIndex prd, PhysRegIndex prevPrd)
     {
-        journal[journalTail & journalMask] =
-            RenameJournalEntry{0, rd, p, mapTable[rd], false};
-        ++journalTail;
-        mapTable[rd] = p;
-    }
-
-    /**
-     * Journal a squash-hygiene marker for load @p seq (RLE cores; see
-     * RenameJournalEntry). Dispatch appends it right after the load's
-     * own definition so a checkpoint replay visits it youngest-first in
-     * exactly the walk's position: hygiene check, then the release of
-     * the load's definition.
-     */
-    void journalSquashHygiene(InstSeqNum seq)
-    {
-        journal[journalTail & journalMask] =
-            RenameJournalEntry{seq, 0, invalidPhysReg, invalidPhysReg,
-                               true};
-        ++journalTail;
-    }
-
-    /** Journal cursor (monotonic; one unit per speculativeDef). */
-    std::uint64_t journalPos() const { return journalTail; }
-
-    /**
-     * Walk-recovery step: undo the youngest journaled definition
-     * (restore the displaced mapping, release the defined register).
-     * The caller walks squashed instructions youngest-first and invokes
-     * this once per register-writing instruction. Hygiene markers above
-     * the definition are discarded — the walk performs its hygiene
-     * directly from the ROB entries it visits.
-     */
-    void undoLastDef();
-
-    // --- checkpoints ---------------------------------------------------
-
-    /**
-     * Pool a checkpoint covering a future squash that keeps @p seq.
-     * Call directly after @p seq's own definition (if any). Evicts the
-     * oldest pooled checkpoint when full; no-op when the pool size is 0.
-     * @return slot tag (slot index + 1), 0 if not pooled.
-     */
-    std::uint16_t takeCheckpoint(InstSeqNum seq, const BPredCheckpoint &bp);
-
-    /** Drop checkpoints younger than @p keepSeq (their snapshots
-     * describe squashed state). Call at every squash, before lookup. */
-    void discardCheckpointsAfter(InstSeqNum keepSeq);
-
-    /**
-     * The checkpoint covering exactly @p keepSeq, if pooled (nullptr
-     * otherwise). Only the youngest surviving entry can match — call
-     * after discardCheckpointsAfter.
-     */
-    const RenameCheckpoint *findCheckpoint(InstSeqNum keepSeq) const;
-
-    /**
-     * Resolve a branch's dispatch-time checkpoint tag: the named pool
-     * slot, if it still holds that branch's checkpoint. Pool slots
-     * never move, so a live branch's checkpoint is wherever its tag
-     * says — unless the slot was evicted and rewritten for a younger
-     * branch, which the seq compare rejects (a tail-discarded
-     * checkpoint implies the branch itself was squashed, so a live
-     * @p keepSeq can never name one).
-     */
-    const RenameCheckpoint *checkpointByTag(std::uint16_t tag,
-                                            InstSeqNum keepSeq) const
-    {
-        if (tag == 0)
-            return nullptr;
-        const RenameCheckpoint &ck = pool[tag - 1u];
-        return ck.seq == keepSeq ? &ck : nullptr;
-    }
-
-    /**
-     * Checkpoint recovery: release every journaled definition younger
-     * than the checkpoint (youngest-first, preserving free-list order),
-     * then restore the map table from the snapshot. Hygiene markers in
-     * the replayed suffix invoke @p hygiene (may be null) with the
-     * journaled load seq, interleaved exactly where the walk would have
-     * performed the check — the callback may release IT register pins
-     * (deref) but must not touch the journal.
-     */
-    void restoreCheckpoint(const RenameCheckpoint &ck,
-                           const std::function<void(InstSeqNum)> &hygiene =
-                               nullptr);
-
-    /** Pooled checkpoints (diagnostics / tests). */
-    unsigned checkpointsPooled() const
-    {
-        return static_cast<unsigned>(poolTail - poolHead);
+        mapTable[rd] = prevPrd;
+        deref(prd);
     }
 
   private:
     PhysRegFile file;
     std::array<PhysRegIndex, numArchRegs> mapTable;
     std::vector<PhysRegIndex> freeList;
-
-    // Definition journal: ring addressed by monotonic cursor.
-    std::vector<RenameJournalEntry> journal;
-    std::uint64_t journalMask = 0;
-    std::uint64_t journalTail = 0;
-
-    // Checkpoint pool: ring deque ordered by seq (allocation order).
-    // Head-drops on overflow, tail-drops on squash keep it sorted.
-    std::vector<RenameCheckpoint> pool;
-    std::uint64_t poolMask = 0;
-    std::uint64_t poolHead = 0;
-    std::uint64_t poolTail = 0;
 };
 
 } // namespace svw

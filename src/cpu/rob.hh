@@ -104,13 +104,6 @@ class ROB
     }
 
     /**
-     * Drop every entry younger than @p keepSeq without touching the
-     * entries themselves (checkpoint recovery's bulk pop; the walk
-     * fallback pops per entry).
-     */
-    void squashTail(InstSeqNum keepSeq) { count = countUpTo(keepSeq); }
-
-    /**
      * Ring-slot view. A live entry's slot never changes, and walking
      * slots from headSlot() around the ring visits entries in age
      * order; the issue queue keys its entries by slot on that basis.

@@ -362,7 +362,7 @@ runResultFromJson(const std::string &json, RunResult &out)
 // is pinned to the toolchain CI enforces rather than breaking other
 // builds over std::string layout.
 #if defined(__GLIBCXX__) && defined(__x86_64__)
-static_assert(sizeof(CoreParams) == 280,
+static_assert(sizeof(CoreParams) == 272,
               "CoreParams changed: revisit coreParamsKeyText and the "
               "result-cache code version");
 static_assert(sizeof(RunResult) == 288,
@@ -388,7 +388,6 @@ coreParamsKeyText(const CoreParams &p)
        << "|robEntries=" << p.robEntries
        << "|iqEntries=" << p.iqEntries
        << "|numPhysRegs=" << p.numPhysRegs
-       << "|renameCheckpoints=" << p.renameCheckpoints
        << "|frontendDepth=" << p.frontendDepth
        << "|mispredictRedirect=" << p.mispredictRedirect
        << "|rexTransit=" << p.rexTransit

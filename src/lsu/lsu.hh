@@ -155,11 +155,6 @@ class LoadStoreUnit
         return sq.empty() ? nullptr : sq.back();
     }
 
-    /** Age-ordered in-flight stores. Checkpoint recovery reads the
-     * squashed suffix (before squashAfter prunes it) to release the
-     * stores' LFST claims without walking the ROB. */
-    const BoundedRing<DynInst *> &storeQueue() const { return sq; }
-
     /** Seq of the youngest in-flight store (0 if none). */
     InstSeqNum youngestStoreSeq() const
     {

@@ -17,7 +17,9 @@
 #include <cctype>
 #include <cstdio>
 #include <cstdlib>
+#include <sstream>
 #include <stdexcept>
+#include <vector>
 
 #include "base/random.hh"
 #include "cpu/core.hh"
@@ -330,157 +332,105 @@ INSTANTIATE_TEST_SUITE_P(
     });
 
 // ---------------------------------------------------------------------
-// Checkpoint-recovery equivalence: restore must be indistinguishable
-// from the youngest-first walk, at both the unit and the whole-core
-// level, on randomly chosen squash points.
+// Squash recovery: the youngest-first walk must be an exact inverse of
+// the definitions it undoes, and observing a run (a pipeline tracer)
+// must never change it.
 // ---------------------------------------------------------------------
 
 namespace {
 
-/** Mirror of one speculative definition, for the reference walk. */
+/** Mirror of one speculative definition, for the undo walk. */
 struct DefRecord
 {
     RegIndex rd;
     PhysRegIndex prd;
     PhysRegIndex prevPrd;
-    bool shared;
 };
-
-/** Drain both free lists in allocation order and compare; leaves both
- * states equally exhausted, which is itself part of the comparison. */
-void
-expectIdenticalRenameState(RenameState &a, RenameState &b,
-                           unsigned numPhysRegs, std::uint64_t seed)
-{
-    for (RegIndex r = 0; r < numArchRegs; ++r)
-        ASSERT_EQ(a.map(r), b.map(r)) << "map r" << r << " seed " << seed;
-    for (unsigned p = 0; p < numPhysRegs; ++p) {
-        ASSERT_EQ(a.regs().refCount(p), b.regs().refCount(p))
-            << "refs p" << p << " seed " << seed;
-        ASSERT_EQ(a.regs().generation(p), b.regs().generation(p))
-            << "gen p" << p << " seed " << seed;
-    }
-    ASSERT_EQ(a.freeRegs(), b.freeRegs()) << "seed " << seed;
-    while (a.hasFreeReg()) {
-        ASSERT_EQ(a.alloc(), b.alloc())
-            << "free-list order diverged, seed " << seed;
-    }
-}
 
 } // namespace
 
-TEST(FuzzCheckpointRecovery, RestoreEquivalentToWalkOnRandomSquashes)
+TEST(FuzzSquashRecovery, WalkUndoIsExactInverseOnRandomSquashes)
 {
     constexpr unsigned numPhysRegs = 96;
     for (std::uint64_t seed = 1; seed <= 24; ++seed) {
         Random rng(seed * 0x9e3779b9ull + 7);
-        RenameState ckpt(numPhysRegs, 8);   // recovers via checkpoint
-        RenameState walk(numPhysRegs, 8);   // recovers via the walk
-        std::vector<DefRecord> defs;        // since run start
-        std::size_t ckptAt = 0;             // defs.size() at checkpoint
+        RenameState rs(numPhysRegs);
+        std::vector<DefRecord> defs;
 
-        // Random prologue of definitions, some register-sharing
-        // (integration-style), some commit-time releases of displaced
-        // registers — then a checkpoint, more definitions, a squash.
-        const unsigned pre = 1 + rng.nextBounded(20);
-        const unsigned post = 1 + rng.nextBounded(30);
+        // One definition, sharing (integration-style) an earlier
+        // definition's still-live register one time in four.
         auto makeDef = [&]() {
             DefRecord rec;
             rec.rd = static_cast<RegIndex>(1 + rng.nextBounded(10));
-            // One in four definitions shares an earlier definition's
-            // register (every recorded prd is still referenced during
-            // the definition phase — nothing frees until later).
-            rec.shared = !defs.empty() && rng.nextBounded(4) == 0;
-            rec.prevPrd = ckpt.map(rec.rd);
-            if (rec.shared) {
-                rec.prd = defs[rng.nextBounded(static_cast<std::uint32_t>(
-                                   defs.size()))].prd;
-                ckpt.addRef(rec.prd);
-                walk.addRef(rec.prd);
-            } else {
-                rec.prd = ckpt.alloc();
-                const PhysRegIndex w = walk.alloc();
-                ASSERT_EQ(w, rec.prd) << "states diverged pre-squash";
+            rec.prevPrd = rs.map(rec.rd);
+            std::vector<PhysRegIndex> live;
+            for (const DefRecord &d : defs) {
+                if (rs.regs().refCount(d.prd) > 0)
+                    live.push_back(d.prd);
             }
-            ckpt.speculativeDef(rec.rd, rec.prd);
-            walk.speculativeDef(rec.rd, rec.prd);
+            if (!live.empty() && rng.nextBounded(4) == 0) {
+                rec.prd = live[rng.nextBounded(
+                    static_cast<std::uint32_t>(live.size()))];
+                rs.addRef(rec.prd);
+            } else {
+                rec.prd = rs.alloc();
+            }
+            rs.speculativeDef(rec.rd, rec.prd);
             defs.push_back(rec);
         };
 
+        // Random prologue: definitions, then commit-style releases of
+        // some displaced registers (in order, as commit would).
+        const unsigned pre = 1 + rng.nextBounded(20);
         for (unsigned i = 0; i < pre; ++i)
             makeDef();
-        ckptAt = defs.size();
-        ckpt.takeCheckpoint(1000, BPredCheckpoint{});
-        for (unsigned i = 0; i < post; ++i)
+        std::size_t committed = 0;
+        while (committed < defs.size() && rng.nextBounded(3) != 0)
+            rs.deref(defs[committed++].prevPrd);
+
+        // The squash point: copy the state, define past it, walk back.
+        const RenameState before = rs;
+        const std::size_t squashAt = defs.size();
+        const unsigned post = 1 + rng.nextBounded(30);
+        std::vector<bool> allocated(numPhysRegs, false);
+        for (unsigned i = 0; i < post; ++i) {
+            const std::size_t freeBefore = rs.freeRegs();
             makeDef();
-
-        // Commit-style releases of displaced registers are legal only
-        // for definitions older than the checkpointed branch (in-order
-        // commit cannot pass an unresolved branch).
-        for (std::size_t i = 0; i < ckptAt; ++i) {
-            if (rng.nextBounded(3) == 0) {
-                ckpt.deref(defs[i].prevPrd);
-                walk.deref(defs[i].prevPrd);
-            }
+            if (rs.freeRegs() < freeBefore)
+                allocated[defs.back().prd] = true;
         }
+        for (std::size_t i = defs.size(); i-- > squashAt;)
+            rs.undoDef(defs[i].rd, defs[i].prd, defs[i].prevPrd);
 
-        // Recover: checkpoint restore on one state, reference
-        // youngest-first walk on the other.
-        ckpt.discardCheckpointsAfter(1000);
-        const RenameCheckpoint *ck = ckpt.findCheckpoint(1000);
-        ASSERT_NE(ck, nullptr) << "seed " << seed;
-        ckpt.restoreCheckpoint(*ck);
-        for (std::size_t i = defs.size(); i-- > ckptAt;)
-            walk.undoLastDef();
-
-        expectIdenticalRenameState(ckpt, walk, numPhysRegs, seed);
+        for (RegIndex r = 0; r < numArchRegs; ++r)
+            ASSERT_EQ(rs.map(r), before.map(r)) << "r" << r << " seed "
+                                                << seed;
+        for (unsigned p = 0; p < numPhysRegs; ++p) {
+            ASSERT_EQ(rs.regs().refCount(p), before.regs().refCount(p))
+                << "refs p" << p << " seed " << seed;
+            // No commits happen past the squash point, so each register
+            // allocated there is freed once, by the walk.
+            ASSERT_EQ(rs.regs().generation(p),
+                      before.regs().generation(p) + (allocated[p] ? 1 : 0))
+                << "gen p" << p << " seed " << seed;
+        }
+        RenameState want = before;
+        ASSERT_EQ(rs.freeRegs(), want.freeRegs()) << "seed " << seed;
+        while (want.hasFreeReg()) {
+            ASSERT_EQ(rs.alloc(), want.alloc())
+                << "free-list order diverged, seed " << seed;
+        }
     }
 }
 
-namespace {
-
-/**
- * Assert two same-shaped stat registries print identically except for
- * the recovery-mechanism counters themselves (core.ckptRestores /
- * core.ckptWalks legitimately differ between the two recovery modes).
- * Everything else — squash counts, RLE eliminations and squash-reuse
- * splits, rename/IT-sensitive rex outcomes — must be bit-identical.
- */
-void
-expectIdenticalStatsModuloRecovery(const stats::StatRegistry &a,
-                                   const stats::StatRegistry &b,
-                                   const char *name, std::uint64_t seed)
+TEST(FuzzSquashRecovery, TracerNeverChangesARun)
 {
-    ASSERT_EQ(a.all().size(), b.all().size());
-    for (std::size_t i = 0; i < a.all().size(); ++i) {
-        const stats::StatBase *sa = a.all()[i];
-        const stats::StatBase *sb = b.all()[i];
-        ASSERT_EQ(sa->name(), sb->name());
-        if (sa->name() == "core.ckptRestores" ||
-            sa->name() == "core.ckptWalks") {
-            continue;
-        }
-        std::ostringstream osa, osb;
-        sa->print(osa);
-        sb->print(osb);
-        ASSERT_EQ(osa.str(), osb.str())
-            << sa->name() << " diverged: " << name << " seed " << seed;
-    }
-}
-
-} // namespace
-
-TEST(FuzzCheckpointRecovery, CoreTimingIdenticalWithAndWithoutCheckpoints)
-{
-    // Same random programs, same config, checkpoints on vs off: cycle
-    // counts, architectural state, memory, and every stat except the
-    // recovery counters must match exactly. This is the
-    // bit-identical-timing invariant the recovery path must preserve
-    // (docs/ARCHITECTURE.md "Squash recovery"). The RLE config
-    // exercises the journaled IT squash-hygiene markers: checkpoint
-    // replay must kill exactly the same IntegrationTable entries the
-    // walk would, or eliminations (and thus rex flushes and squash
-    // reuse) diverge downstream.
+    // Same random programs, same config, with and without a pipeline
+    // tracer attached: cycles, instructions, architectural state,
+    // memory and every printed stat must match exactly. Squash recovery
+    // emits the tracer's Squash events from the walk every squash takes
+    // anyway, so observing a run never changes its host path or its
+    // results.
     const std::pair<const char *, ExperimentConfig> configs[] = {
         {"base", {}},
         {"ssqSvw",
@@ -509,33 +459,47 @@ TEST(FuzzCheckpointRecovery, CoreTimingIdenticalWithAndWithoutCheckpoints)
     for (std::uint64_t seed = 11; seed <= 14; ++seed) {
         Program prog = randomProgram(seed, 24, 120);
         for (const auto &[name, cfg] : configs) {
-            CoreParams on = buildParams(cfg);
-            CoreParams off = buildParams(cfg);
-            off.renameCheckpoints = 0;
-
-            stats::StatRegistry regOn, regOff;
-            Core coreOn(on, prog, regOn);
-            Core coreOff(off, prog, regOff);
-            RunOutcome a = coreOn.run(~0ull, 3'000'000);
-            RunOutcome b = coreOff.run(~0ull, 3'000'000);
+            const CoreParams params = buildParams(cfg);
+            stats::StatRegistry regPlain, regTraced;
+            Core plain(params, prog, regPlain);
+            Core traced(params, prog, regTraced);
+            CountingTracer tracer;
+            traced.setTracer(&tracer);
+            RunOutcome a = plain.run(~0ull, 3'000'000);
+            RunOutcome b = traced.run(~0ull, 3'000'000);
 
             ASSERT_TRUE(a.halted) << name << " seed " << seed;
             ASSERT_TRUE(b.halted) << name << " seed " << seed;
-            EXPECT_GT(coreOn.ckptRestores.value(), 0u)
+            EXPECT_GT(plain.branchSquashes.value() +
+                          plain.orderingSquashes.value() +
+                          plain.rexFlushes.value(),
+                      0u)
                 << name << " seed " << seed
-                << " (no squash ever hit a checkpoint; the equivalence "
-                   "check exercised nothing)";
-            EXPECT_EQ(coreOff.ckptRestores.value(), 0u);
+                << " (the run never squashed; the check exercised no "
+                   "recovery)";
+            EXPECT_GT(tracer.count(TraceEvent::Squash), 0u)
+                << name << " seed " << seed;
             ASSERT_EQ(a.cycles, b.cycles) << name << " seed " << seed;
             ASSERT_EQ(a.instructions, b.instructions)
                 << name << " seed " << seed;
             for (RegIndex r = 0; r < numArchRegs; ++r) {
-                ASSERT_EQ(coreOn.archReg(r), coreOff.archReg(r))
+                ASSERT_EQ(plain.archReg(r), traced.archReg(r))
                     << "r" << r << " " << name << " seed " << seed;
             }
-            ASSERT_TRUE(coreOn.memory().identicalTo(coreOff.memory()))
+            ASSERT_TRUE(plain.memory().identicalTo(traced.memory()))
                 << name << " seed " << seed;
-            expectIdenticalStatsModuloRecovery(regOn, regOff, name, seed);
+            ASSERT_EQ(regPlain.all().size(), regTraced.all().size());
+            for (std::size_t i = 0; i < regPlain.all().size(); ++i) {
+                const stats::StatBase *sa = regPlain.all()[i];
+                const stats::StatBase *sb = regTraced.all()[i];
+                ASSERT_EQ(sa->name(), sb->name());
+                std::ostringstream osa, osb;
+                sa->print(osa);
+                sb->print(osb);
+                ASSERT_EQ(osa.str(), osb.str())
+                    << sa->name() << " diverged: " << name << " seed "
+                    << seed;
+            }
         }
     }
 }

@@ -60,7 +60,8 @@ struct IqFixture : ::testing::Test
     {
         const std::size_t kept = rob.countUpTo(keepSeq);
         iq.squashAfter(keepSeq, rob.slotAt(kept), rob.size() - kept);
-        rob.squashTail(keepSeq);
+        while (rob.size() > kept)
+            rob.popTail();
     }
 
     /** Put slot @p idx to sleep on physical register @p p. */

@@ -2,8 +2,7 @@
  * @file
  * Unit tests: physical register file, rename map, free list, reference
  * counting and generations (the substrate register integration relies
- * on), the speculative-definition journal, and the squash-recovery
- * checkpoint pool.
+ * on), and the squash walk's definition undo.
  */
 
 #include <gtest/gtest.h>
@@ -100,142 +99,40 @@ TEST(Rename, TooFewRegsPanics)
 }
 
 // ---------------------------------------------------------------------
-// Definition journal and checkpoints
+// Squash-walk undo
 // ---------------------------------------------------------------------
 
-TEST(RenameCkpt, UndoLastDefRestoresMapAndFrees)
+TEST(Rename, UndoDefRestoresMapAndFrees)
 {
     RenameState rs(64);
     const PhysRegIndex orig = rs.map(5);
     PhysRegIndex p = rs.alloc();
     rs.speculativeDef(5, p);
     EXPECT_EQ(rs.map(5), p);
-    EXPECT_EQ(rs.journalPos(), 1u);
-    rs.undoLastDef();
+    const auto gen = rs.regs().generation(p);
+    rs.undoDef(5, p, orig);
     EXPECT_EQ(rs.map(5), orig);
     EXPECT_EQ(rs.regs().refCount(p), 0u);  // released
-    EXPECT_EQ(rs.journalPos(), 0u);
+    EXPECT_EQ(rs.regs().generation(p), gen + 1);
+    EXPECT_EQ(rs.alloc(), p);  // back on top of the free list
 }
 
-TEST(RenameCkpt, RestoreRewindsMapAndFreeListInWalkOrder)
+TEST(Rename, UndoDefDropsSharedReferenceWithoutFreeing)
 {
-    RenameState rs(64, 4);
-    PhysRegIndex p1 = rs.alloc();
-    rs.speculativeDef(3, p1);
-    rs.takeCheckpoint(10, BPredCheckpoint{});
-    const auto freeBefore = rs.freeRegs();
-
-    // Two wrong-path definitions after the checkpoint.
-    PhysRegIndex p2 = rs.alloc();
-    rs.speculativeDef(4, p2);
-    PhysRegIndex p3 = rs.alloc();
-    rs.speculativeDef(5, p3);
-
-    rs.discardCheckpointsAfter(10);
-    const RenameCheckpoint *ck = rs.findCheckpoint(10);
-    ASSERT_NE(ck, nullptr);
-    rs.restoreCheckpoint(*ck);
-
-    EXPECT_EQ(rs.map(3), p1);   // pre-checkpoint def survives
-    EXPECT_EQ(rs.map(4), 4u);   // post-checkpoint defs undone
-    EXPECT_EQ(rs.map(5), 5u);
-    EXPECT_EQ(rs.freeRegs(), freeBefore);
-    // Free-list order must equal the youngest-first walk's: p3 released
-    // first, p2 on top — so allocation hands p2 back first.
-    EXPECT_EQ(rs.alloc(), p2);
-    EXPECT_EQ(rs.alloc(), p3);
-}
-
-TEST(RenameCkpt, RestoreDropsSharedReferenceWithoutFreeing)
-{
-    RenameState rs(64, 4);
+    RenameState rs(64);
     PhysRegIndex p = rs.alloc();
     rs.speculativeDef(3, p);
-    rs.takeCheckpoint(20, BPredCheckpoint{});
     // An integration-style shared definition of the same register.
     rs.addRef(p);
     rs.speculativeDef(4, p);
     EXPECT_EQ(rs.regs().refCount(p), 2u);
 
-    rs.discardCheckpointsAfter(20);
-    const RenameCheckpoint *ck = rs.findCheckpoint(20);
-    ASSERT_NE(ck, nullptr);
     const auto gen = rs.regs().generation(p);
-    rs.restoreCheckpoint(*ck);
+    rs.undoDef(4, p, 4);
     EXPECT_EQ(rs.regs().refCount(p), 1u);       // still pinned by map(3)
     EXPECT_EQ(rs.regs().generation(p), gen);    // never recycled
     EXPECT_EQ(rs.map(3), p);
     EXPECT_EQ(rs.map(4), 4u);
-}
-
-TEST(RenameCkpt, PoolExhaustionDropsOldest)
-{
-    RenameState rs(64, 2);
-    rs.takeCheckpoint(1, BPredCheckpoint{});
-    rs.takeCheckpoint(2, BPredCheckpoint{});
-    EXPECT_EQ(rs.checkpointsPooled(), 2u);
-    rs.takeCheckpoint(3, BPredCheckpoint{});
-    EXPECT_EQ(rs.checkpointsPooled(), 2u);  // oldest (seq 1) evicted
-
-    // A squash keeping seq 1 pops 2 and 3 and finds nothing: the walk
-    // fallback covers it.
-    rs.discardCheckpointsAfter(1);
-    EXPECT_EQ(rs.checkpointsPooled(), 0u);
-    EXPECT_EQ(rs.findCheckpoint(1), nullptr);
-}
-
-TEST(RenameCkpt, DiscardPopsOnlyYoungerCheckpoints)
-{
-    RenameState rs(64, 4);
-    rs.takeCheckpoint(5, BPredCheckpoint{});
-    rs.takeCheckpoint(8, BPredCheckpoint{});
-    rs.takeCheckpoint(11, BPredCheckpoint{});
-    rs.discardCheckpointsAfter(8);
-    EXPECT_EQ(rs.checkpointsPooled(), 2u);
-    const RenameCheckpoint *ck = rs.findCheckpoint(8);
-    ASSERT_NE(ck, nullptr);
-    EXPECT_EQ(ck->seq, 8u);
-    // Only the youngest survivor can match a squash point.
-    EXPECT_EQ(rs.findCheckpoint(5), nullptr);
-}
-
-TEST(RenameCkpt, ZeroPoolNeverCheckpoints)
-{
-    RenameState rs(64, 0);
-    EXPECT_EQ(rs.takeCheckpoint(1, BPredCheckpoint{}), 0u);
-    EXPECT_EQ(rs.checkpointsPooled(), 0u);
-    rs.discardCheckpointsAfter(0);
-    EXPECT_EQ(rs.findCheckpoint(1), nullptr);
-}
-
-TEST(RenameCkpt, TagsNameDistinctPoolSlots)
-{
-    RenameState rs(64, 4);
-    const auto t1 = rs.takeCheckpoint(1, BPredCheckpoint{});
-    const auto t2 = rs.takeCheckpoint(2, BPredCheckpoint{});
-    EXPECT_NE(t1, 0u);
-    EXPECT_NE(t2, 0u);
-    EXPECT_NE(t1, t2);
-}
-
-TEST(RenameCkpt, TagResolvesOwnSlotAndRejectsRewrites)
-{
-    RenameState rs(64, 2);
-    const auto t1 = rs.takeCheckpoint(1, BPredCheckpoint{});
-    const auto t2 = rs.takeCheckpoint(2, BPredCheckpoint{});
-    const RenameCheckpoint *ck = rs.checkpointByTag(t1, 1);
-    ASSERT_NE(ck, nullptr);
-    EXPECT_EQ(ck->seq, 1u);
-    EXPECT_EQ(rs.checkpointByTag(0, 1), nullptr);   // untagged branch
-    EXPECT_EQ(rs.checkpointByTag(t1, 5), nullptr);  // wrong seq
-
-    // Overflow rewrites the oldest slot for a younger branch; the old
-    // tag must no longer resolve.
-    const auto t3 = rs.takeCheckpoint(3, BPredCheckpoint{});
-    EXPECT_EQ(t3, t1);  // slot reused
-    EXPECT_EQ(rs.checkpointByTag(t1, 1), nullptr);
-    ASSERT_NE(rs.checkpointByTag(t3, 3), nullptr);
-    ASSERT_NE(rs.checkpointByTag(t2, 2), nullptr);
 }
 
 // ---------------------------------------------------------------------
@@ -302,71 +199,8 @@ TEST(Rob, ReferencesStableAcrossPush)
 }
 
 // ---------------------------------------------------------------------
-// Squash-hygiene journal markers (RLE checkpoint recovery) and the ROB
-// cold-record arena.
+// ROB cold-record arena
 // ---------------------------------------------------------------------
-
-TEST(Rename, HygieneMarkersAreSkippedByWalkUndo)
-{
-    RenameState rs(64);
-    const PhysRegIndex p1 = rs.alloc();
-    rs.speculativeDef(1, p1);
-    rs.journalSquashHygiene(42);
-    const PhysRegIndex p2 = rs.alloc();
-    rs.speculativeDef(2, p2);
-    rs.journalSquashHygiene(43);
-
-    rs.undoLastDef();  // discards marker 43, undoes the r2 definition
-    EXPECT_EQ(rs.map(2), 2);
-    EXPECT_EQ(rs.regs().refCount(p2), 0u);
-    EXPECT_EQ(rs.map(1), p1) << "older definition must survive";
-
-    rs.undoLastDef();  // discards marker 42, undoes the r1 definition
-    EXPECT_EQ(rs.map(1), 1);
-    EXPECT_EQ(rs.regs().refCount(p1), 0u);
-}
-
-TEST(Rename, CheckpointReplayFiresHygieneYoungestFirstInterleaved)
-{
-    RenameState rs(64, 4);
-    const PhysRegIndex pKept = rs.alloc();
-    rs.speculativeDef(1, pKept);
-    rs.takeCheckpoint(100, BPredCheckpoint{});
-
-    const PhysRegIndex p2 = rs.alloc();
-    rs.speculativeDef(2, p2);
-    rs.journalSquashHygiene(10);
-    const PhysRegIndex p3 = rs.alloc();
-    rs.speculativeDef(3, p3);
-    rs.journalSquashHygiene(11);
-
-    rs.discardCheckpointsAfter(100);
-    const RenameCheckpoint *ck = rs.findCheckpoint(100);
-    ASSERT_NE(ck, nullptr);
-
-    std::vector<InstSeqNum> fired;
-    rs.restoreCheckpoint(*ck, [&](InstSeqNum seq) {
-        fired.push_back(seq);
-        if (seq == 11) {
-            // Marker 11 replays *before* the release of load 11's own
-            // definition — exactly the walk's hygiene-then-undo order.
-            EXPECT_EQ(rs.regs().refCount(p3), 1u);
-        } else if (seq == 10) {
-            // By marker 10, load 11's definition has been released.
-            EXPECT_EQ(rs.regs().refCount(p3), 0u);
-            EXPECT_EQ(rs.regs().refCount(p2), 1u);
-        }
-    });
-
-    ASSERT_EQ(fired.size(), 2u);
-    EXPECT_EQ(fired[0], 11u);
-    EXPECT_EQ(fired[1], 10u);
-    EXPECT_EQ(rs.map(1), pKept);
-    EXPECT_EQ(rs.map(2), 2);
-    EXPECT_EQ(rs.map(3), 3);
-    EXPECT_EQ(rs.regs().refCount(p2), 0u);
-    EXPECT_EQ(rs.regs().refCount(p3), 0u);
-}
 
 TEST(Rob, ColdRecordsTravelWithRingSlots)
 {
