@@ -59,6 +59,11 @@ struct ExperimentConfig
     /** Ablation: value-aware LQ search ignores silent-store violations
      * (section 2.2's "if the LQ contains values" remark). */
     bool lqValueCheck = false;
+
+    /** Memberwise: the identity of the result-cache key's memoized
+     * config head (harness/sweep.hh cellKey), so a new field joins it
+     * without further edits. */
+    bool operator==(const ExperimentConfig &) const = default;
 };
 
 /** Human-readable label ("NLQ+SVW+UPD" etc.). */

@@ -1,97 +1,165 @@
 #include "harness/serialize.hh"
 
-#include <cctype>
+#include <charconv>
 #include <cmath>
-#include <cstdio>
-#include <cstdlib>
 #include <cstring>
+#include <iterator>
 #include <limits>
 #include <sstream>
 
 namespace svw::harness {
 
-std::string
-jsonEscape(const std::string &s)
+namespace {
+
+// ---------------------------------------------------------------------------
+// Writer helpers: std::string appends and std::to_chars, no streams
+// ---------------------------------------------------------------------------
+
+void
+appendU64(std::string &out, std::uint64_t v)
 {
-    std::string out;
-    out.reserve(s.size());
-    for (char c : s) {
+    char buf[24];
+    const auto res = std::to_chars(buf, buf + sizeof(buf), v);
+    out.append(buf, res.ptr);
+}
+
+void
+appendDouble(std::string &out, double v)
+{
+    // Non-finite doubles as distinguished strings: %.17g would emit
+    // bare nan/inf tokens, which are not JSON, and the result cache
+    // persists these lines for external tools to read.
+    if (std::isnan(v)) {
+        out += "\"NaN\"";
+        return;
+    }
+    if (std::isinf(v)) {
+        out += v > 0 ? "\"Infinity\"" : "\"-Infinity\"";
+        return;
+    }
+    // to_chars(general, 17) is specified as printf's %.17g.
+    char buf[40];
+    const auto res = std::to_chars(buf, buf + sizeof(buf), v,
+                                   std::chars_format::general, 17);
+    out.append(buf, res.ptr);
+}
+
+void
+appendEscaped(std::string &out, std::string_view s)
+{
+    static constexpr char hex[] = "0123456789abcdef";
+    std::size_t run = 0;  // start of the pending unescaped run
+    for (std::size_t i = 0; i < s.size(); ++i) {
+        const unsigned char c = static_cast<unsigned char>(s[i]);
+        if (c >= 0x20 && c != '"' && c != '\\')
+            continue;
+        out.append(s.data() + run, i - run);
+        run = i + 1;
         switch (c) {
           case '"':  out += "\\\""; break;
           case '\\': out += "\\\\"; break;
           case '\n': out += "\\n"; break;
           case '\t': out += "\\t"; break;
           case '\r': out += "\\r"; break;
-          default:
-            if (static_cast<unsigned char>(c) < 0x20) {
-                char buf[8];
-                std::snprintf(buf, sizeof(buf), "\\u%04x", c);
-                out += buf;
-            } else {
-                out += c;
-            }
+          default: {
+            const char u[6] = {'\\', 'u', '0', '0', hex[c >> 4],
+                               hex[c & 15]};
+            out.append(u, sizeof(u));
+          }
         }
     }
-    return out;
+    out.append(s.data() + run, s.size() - run);
 }
 
-std::string
-jsonDouble(double v)
-{
-    // Non-finite doubles as distinguished strings: %.17g would emit
-    // bare nan/inf tokens, which are not JSON, and the result cache
-    // persists these lines for external tools to read.
-    if (std::isnan(v))
-        return "\"NaN\"";
-    if (std::isinf(v))
-        return v > 0 ? "\"Infinity\"" : "\"-Infinity\"";
-    char buf[40];
-    std::snprintf(buf, sizeof(buf), "%.17g", v);
-    return buf;
-}
+// ---------------------------------------------------------------------------
+// The RunResult field list, shared by the writer and the reader
+// ---------------------------------------------------------------------------
 
-std::string
-runResultToJson(const RunResult &r)
+/** One always-written RunResult field: its JSON name and exactly one
+ * member pointer. */
+struct Field
 {
-    std::ostringstream os;
-    os << "{\"workload\":\"" << jsonEscape(r.workload) << "\""
-       << ",\"config\":\"" << jsonEscape(r.config) << "\""
-       << ",\"halted\":" << (r.halted ? "true" : "false")
-       << ",\"golden_ok\":" << (r.goldenOk ? "true" : "false")
-       << ",\"cycles\":" << r.cycles
-       << ",\"insts\":" << r.insts
-       << ",\"loads\":" << r.loads
-       << ",\"stores\":" << r.stores
-       << ",\"ipc\":" << jsonDouble(r.ipc)
-       << ",\"loads_marked\":" << r.loadsMarked
-       << ",\"loads_reexecuted\":" << r.loadsReExecuted
-       << ",\"loads_filtered_by_svw\":" << r.loadsFilteredBySvw
-       << ",\"rex_flushes\":" << r.rexFlushes
-       << ",\"rex_rate\":" << jsonDouble(r.rexRate)
-       << ",\"marked_rate\":" << jsonDouble(r.markedRate)
-       << ",\"elim_rate\":" << jsonDouble(r.elimRate)
-       << ",\"bypass_share\":" << jsonDouble(r.bypassShare)
-       << ",\"fsq_load_share\":" << jsonDouble(r.fsqLoadShare)
-       << ",\"branch_squashes\":" << r.branchSquashes
-       << ",\"ordering_squashes\":" << r.orderingSquashes
-       << ",\"wrap_drains\":" << r.wrapDrains;
+    std::string_view name;
+    std::string RunResult::*str = nullptr;
+    bool RunResult::*flag = nullptr;
+    std::uint64_t RunResult::*count = nullptr;
+    double RunResult::*real = nullptr;
+};
+
+// Writer order. The profiler's prof_* keys follow these only for
+// profiled runs (appendRunResult).
+constexpr Field runResultFields[] = {
+    {.name = "workload", .str = &RunResult::workload},
+    {.name = "config", .str = &RunResult::config},
+    {.name = "halted", .flag = &RunResult::halted},
+    {.name = "golden_ok", .flag = &RunResult::goldenOk},
+    {.name = "cycles", .count = &RunResult::cycles},
+    {.name = "insts", .count = &RunResult::insts},
+    {.name = "loads", .count = &RunResult::loads},
+    {.name = "stores", .count = &RunResult::stores},
+    {.name = "ipc", .real = &RunResult::ipc},
+    {.name = "loads_marked", .count = &RunResult::loadsMarked},
+    {.name = "loads_reexecuted", .count = &RunResult::loadsReExecuted},
+    {.name = "loads_filtered_by_svw",
+     .count = &RunResult::loadsFilteredBySvw},
+    {.name = "rex_flushes", .count = &RunResult::rexFlushes},
+    {.name = "rex_rate", .real = &RunResult::rexRate},
+    {.name = "marked_rate", .real = &RunResult::markedRate},
+    {.name = "elim_rate", .real = &RunResult::elimRate},
+    {.name = "bypass_share", .real = &RunResult::bypassShare},
+    {.name = "fsq_load_share", .real = &RunResult::fsqLoadShare},
+    {.name = "branch_squashes", .count = &RunResult::branchSquashes},
+    {.name = "ordering_squashes", .count = &RunResult::orderingSquashes},
+    {.name = "wrap_drains", .count = &RunResult::wrapDrains},
+};
+constexpr std::size_t numFields = std::size(runResultFields);
+static_assert(numFields <= 32, "the reader's seen-mask is 32 bits");
+constexpr std::uint32_t allFieldsSeen = (1ull << numFields) - 1;
+
+void
+appendRunResult(std::string &out, const RunResult &r)
+{
+    char sep = '{';
+    for (const Field &f : runResultFields) {
+        out += sep;
+        sep = ',';
+        out += '"';
+        out += f.name;
+        out += "\":";
+        if (f.str) {
+            out += '"';
+            appendEscaped(out, r.*f.str);
+            out += '"';
+        } else if (f.flag) {
+            out += r.*f.flag ? "true" : "false";
+        } else if (f.count) {
+            appendU64(out, r.*f.count);
+        } else {
+            appendDouble(out, r.*f.real);
+        }
+    }
     // Profile attribution keys ("prof_<stage>_ns") are emitted only
     // for profiled runs: profiled results never enter the result
     // cache, and unprofiled lines stay byte-identical to the pre-
     // profiler wire format.
     if (r.profTicks) {
         for (unsigned s = 0; s < prof::NumStages; ++s) {
-            os << ",\"prof_" << prof::stageName(prof::Stage(s))
-               << "_ns\":" << r.profStageNs[s];
+            out += ",\"prof_";
+            out += prof::stageName(prof::Stage(s));
+            out += "_ns\":";
+            appendU64(out, r.profStageNs[s]);
         }
-        os << ",\"prof_ticks\":" << r.profTicks
-           << ",\"prof_cell_ns\":" << r.profCellNs;
+        out += ",\"prof_ticks\":";
+        appendU64(out, r.profTicks);
+        out += ",\"prof_cell_ns\":";
+        appendU64(out, r.profCellNs);
     }
-    os << "}";
-    return os.str();
+    out += '}';
 }
 
-namespace {
+// ---------------------------------------------------------------------------
+// Reader: one pass over the bytes, views into the input where possible
+// ---------------------------------------------------------------------------
 
 /**
  * Cursor over the wire format. Values are strings, numbers, booleans,
@@ -119,234 +187,376 @@ struct Cursor
         ++p;
         return true;
     }
-    bool peek(char c)
-    {
-        skipWs();
-        return !atEnd() && *p == c;
-    }
 };
 
+int
+hexValue(char c)
+{
+    if (c >= '0' && c <= '9')
+        return c - '0';
+    if (c >= 'a' && c <= 'f')
+        return c - 'a' + 10;
+    if (c >= 'A' && c <= 'F')
+        return c - 'A' + 10;
+    return -1;
+}
+
+/**
+ * Parse a JSON string. An escape-free string comes back as a view into
+ * the input; otherwise it is decoded into @p scratch and @p out views
+ * that. `\u` escapes name single bytes (the writer escapes control
+ * bytes only), so a code point above 0xff is rejected.
+ */
 bool
-parseString(Cursor &c, std::string &out)
+parseString(Cursor &c, std::string_view &out, std::string &scratch)
 {
     if (!c.consume('"'))
         return false;
-    out.clear();
+    const char *start = c.p;
+    const std::size_t left = static_cast<std::size_t>(c.end - start);
+    const char *quote =
+        static_cast<const char *>(std::memchr(start, '"', left));
+    if (!quote)
+        return false;
+    const char *esc = static_cast<const char *>(
+        std::memchr(start, '\\', static_cast<std::size_t>(quote - start)));
+    if (!esc) {
+        out = std::string_view(start, static_cast<std::size_t>(quote - start));
+        c.p = quote + 1;
+        return true;
+    }
+    scratch.assign(start, esc);
+    c.p = esc;
     while (!c.atEnd() && *c.p != '"') {
-        char ch = *c.p++;
-        if (ch == '\\') {
-            if (c.atEnd())
+        const char ch = *c.p++;
+        if (ch != '\\') {
+            scratch += ch;
+            continue;
+        }
+        if (c.atEnd())
+            return false;
+        switch (*c.p++) {
+          case '"':  scratch += '"'; break;
+          case '\\': scratch += '\\'; break;
+          case '/':  scratch += '/'; break;
+          case 'n':  scratch += '\n'; break;
+          case 't':  scratch += '\t'; break;
+          case 'r':  scratch += '\r'; break;
+          case 'u': {
+            if (c.end - c.p < 4)
                 return false;
-            char esc = *c.p++;
-            switch (esc) {
-              case '"':  out += '"'; break;
-              case '\\': out += '\\'; break;
-              case '/':  out += '/'; break;
-              case 'n':  out += '\n'; break;
-              case 't':  out += '\t'; break;
-              case 'r':  out += '\r'; break;
-              case 'u': {
-                if (c.end - c.p < 4)
+            int v = 0;
+            for (int i = 0; i < 4; ++i) {
+                const int d = hexValue(c.p[i]);
+                if (d < 0)
                     return false;
-                char hex[5] = {c.p[0], c.p[1], c.p[2], c.p[3], 0};
-                out += static_cast<char>(std::strtoul(hex, nullptr, 16));
-                c.p += 4;
-                break;
-              }
-              default:
-                return false;
+                v = v * 16 + d;
             }
-        } else {
-            out += ch;
+            if (v > 0xff)
+                return false;
+            scratch += static_cast<char>(v);
+            c.p += 4;
+            break;
+          }
+          default:
+            return false;
         }
     }
-    return c.consume('"');
+    if (c.atEnd())
+        return false;
+    ++c.p;
+    out = scratch;
+    return true;
 }
 
 bool
-parseNumberToken(Cursor &c, std::string &tok)
+isDelimiter(char ch)
 {
-    c.skipWs();
-    tok.clear();
-    while (!c.atEnd() &&
-           (std::strchr("+-.0123456789eE", *c.p) != nullptr ||
-            std::isalpha(static_cast<unsigned char>(*c.p)))) {
-        // isalpha admits true/false (and legacy bare inf/nan tokens;
-        // the writer now encodes non-finite doubles as strings).
-        tok += *c.p++;
+    switch (ch) {
+      case ',': case ':': case '{': case '}': case '[': case ']':
+      case '"': case ' ': case '\t': case '\n': case '\r':
+        return true;
+      default:
+        return false;
     }
-    return !tok.empty();
 }
 
-bool parseValueInto(Cursor &c, const std::string &key, RunResult &r);
-
-/** Skip any scalar or (one-level) object value we don't recognize. */
-bool
-skipValue(Cursor &c)
+/** A bare scalar token: the run of characters up to the next
+ * delimiter. Empty if the value starts with a delimiter. */
+std::string_view
+scalarToken(Cursor &c)
 {
     c.skipWs();
-    if (c.peek('"')) {
-        std::string s;
-        return parseString(c, s);
-    }
-    if (c.peek('{')) {
-        c.consume('{');
-        if (c.consume('}'))
-            return true;
-        do {
-            std::string k;
-            if (!parseString(c, k) || !c.consume(':') || !skipValue(c))
-                return false;
-        } while (c.consume(','));
-        return c.consume('}');
-    }
-    std::string tok;
-    return parseNumberToken(c, tok);
+    const char *start = c.p;
+    while (!c.atEnd() && !isDelimiter(*c.p))
+        ++c.p;
+    return std::string_view(start, static_cast<std::size_t>(c.p - start));
 }
 
+/** A whole-token unsigned decimal: no sign, no tail, no overflow. */
 bool
 parseU64(Cursor &c, std::uint64_t &v)
 {
-    std::string tok;
-    if (!parseNumberToken(c, tok))
-        return false;
-    v = std::strtoull(tok.c_str(), nullptr, 10);
-    return true;
+    const std::string_view tok = scalarToken(c);
+    const char *last = tok.data() + tok.size();
+    const auto res = std::from_chars(tok.data(), last, v);
+    return !tok.empty() && res.ec == std::errc() && res.ptr == last;
 }
 
 bool
-parseDouble(Cursor &c, double &v)
+parseDouble(Cursor &c, double &v, std::string &scratch)
 {
     c.skipWs();
-    if (c.peek('"')) {
-        // jsonDouble's non-finite encoding.
-        std::string s;
-        if (!parseString(c, s))
+    if (!c.atEnd() && *c.p == '"') {
+        // appendDouble's non-finite encoding.
+        std::string_view s;
+        if (!parseString(c, s, scratch))
             return false;
-        if (s == "NaN") {
+        if (s == "NaN")
             v = std::numeric_limits<double>::quiet_NaN();
-            return true;
-        }
-        if (s == "Infinity") {
+        else if (s == "Infinity")
             v = std::numeric_limits<double>::infinity();
-            return true;
-        }
-        if (s == "-Infinity") {
+        else if (s == "-Infinity")
             v = -std::numeric_limits<double>::infinity();
-            return true;
-        }
-        return false;
+        else
+            return false;
+        return true;
     }
-    std::string tok;
-    if (!parseNumberToken(c, tok))
-        return false;
-    v = std::strtod(tok.c_str(), nullptr);
-    return true;
+    // A bare token must be a finite number consumed whole: from_chars
+    // also reads inf/nan spellings, which only the strings above may
+    // carry.
+    const std::string_view tok = scalarToken(c);
+    const char *last = tok.data() + tok.size();
+    const auto res = std::from_chars(tok.data(), last, v);
+    return !tok.empty() && res.ec == std::errc() && res.ptr == last &&
+           std::isfinite(v);
 }
 
 bool
 parseBool(Cursor &c, bool &v)
 {
-    std::string tok;
-    if (!parseNumberToken(c, tok))
-        return false;
-    if (tok == "true") {
+    const std::string_view tok = scalarToken(c);
+    if (tok == "true")
         v = true;
-        return true;
-    }
-    if (tok == "false") {
+    else if (tok == "false")
         v = false;
-        return true;
+    else
+        return false;
+    return true;
+}
+
+/** Skip any scalar or (one-level) object value we don't recognize. */
+bool
+skipValue(Cursor &c, std::string &scratch)
+{
+    std::string_view s;
+    c.skipWs();
+    if (!c.atEnd() && *c.p == '"')
+        return parseString(c, s, scratch);
+    if (c.consume('{')) {
+        if (c.consume('}'))
+            return true;
+        do {
+            if (!parseString(c, s, scratch) || !c.consume(':'))
+                return false;
+            c.skipWs();
+            if (!c.atEnd() && *c.p == '"') {
+                if (!parseString(c, s, scratch))
+                    return false;
+            } else if (scalarToken(c).empty()) {
+                return false;
+            }
+        } while (c.consume(','));
+        return c.consume('}');
+    }
+    return !scalarToken(c).empty();
+}
+
+/** Index of @p key in runResultFields, trying @p hint (the field the
+ * writer puts next) first; numFields if it is not one of them. */
+std::size_t
+fieldIndex(std::string_view key, std::size_t hint)
+{
+    if (hint < numFields && runResultFields[hint].name == key)
+        return hint;
+    for (std::size_t i = 0; i < numFields; ++i) {
+        if (runResultFields[i].name == key)
+            return i;
+    }
+    return numFields;
+}
+
+/** Parse the value of a prof_<stage>_ns key; false if @p key is not
+ * one (the caller then skips the value). */
+bool
+profStageSlot(std::string_view key, std::uint64_t *&slot, RunResult &r)
+{
+    constexpr std::string_view pre = "prof_", post = "_ns";
+    if (key.size() <= pre.size() + post.size() ||
+        key.substr(0, pre.size()) != pre ||
+        key.substr(key.size() - post.size()) != post) {
+        return false;
+    }
+    const std::string_view stage =
+        key.substr(pre.size(), key.size() - pre.size() - post.size());
+    for (unsigned s = 0; s < prof::NumStages; ++s) {
+        if (stage == prof::stageName(prof::Stage(s))) {
+            slot = &r.profStageNs[s];
+            return true;
+        }
     }
     return false;
 }
 
+/**
+ * Parse a RunResult object. Every field the writer always emits must
+ * be present, and profiler keys are accepted only as a profiled run
+ * writes them (all zero unless prof_ticks is set), so everything
+ * accepted re-serializes to an object that parses back the same.
+ * Unknown keys are skipped (forward compat).
+ */
 bool
-parseValueInto(Cursor &c, const std::string &key, RunResult &r)
-{
-    if (key == "workload")
-        return parseString(c, r.workload);
-    if (key == "config")
-        return parseString(c, r.config);
-    if (key == "halted")
-        return parseBool(c, r.halted);
-    if (key == "golden_ok")
-        return parseBool(c, r.goldenOk);
-    if (key == "cycles")
-        return parseU64(c, r.cycles);
-    if (key == "insts")
-        return parseU64(c, r.insts);
-    if (key == "loads")
-        return parseU64(c, r.loads);
-    if (key == "stores")
-        return parseU64(c, r.stores);
-    if (key == "ipc")
-        return parseDouble(c, r.ipc);
-    if (key == "loads_marked")
-        return parseU64(c, r.loadsMarked);
-    if (key == "loads_reexecuted")
-        return parseU64(c, r.loadsReExecuted);
-    if (key == "loads_filtered_by_svw")
-        return parseU64(c, r.loadsFilteredBySvw);
-    if (key == "rex_flushes")
-        return parseU64(c, r.rexFlushes);
-    if (key == "rex_rate")
-        return parseDouble(c, r.rexRate);
-    if (key == "marked_rate")
-        return parseDouble(c, r.markedRate);
-    if (key == "elim_rate")
-        return parseDouble(c, r.elimRate);
-    if (key == "bypass_share")
-        return parseDouble(c, r.bypassShare);
-    if (key == "fsq_load_share")
-        return parseDouble(c, r.fsqLoadShare);
-    if (key == "branch_squashes")
-        return parseU64(c, r.branchSquashes);
-    if (key == "ordering_squashes")
-        return parseU64(c, r.orderingSquashes);
-    if (key == "wrap_drains")
-        return parseU64(c, r.wrapDrains);
-    if (key == "prof_ticks")
-        return parseU64(c, r.profTicks);
-    if (key == "prof_cell_ns")
-        return parseU64(c, r.profCellNs);
-    if (key.size() > 8 && key.compare(0, 5, "prof_") == 0 &&
-        key.compare(key.size() - 3, 3, "_ns") == 0) {
-        const std::string stage = key.substr(5, key.size() - 8);
-        for (unsigned s = 0; s < prof::NumStages; ++s)
-            if (stage == prof::stageName(prof::Stage(s)))
-                return parseU64(c, r.profStageNs[s]);
-    }
-    return skipValue(c);  // unknown key: tolerate (forward compat)
-}
-
-bool
-parseRunResultObject(Cursor &c, RunResult &r)
+parseRunResultObject(Cursor &c, RunResult &r, std::string &scratch)
 {
     if (!c.consume('{'))
         return false;
-    if (c.consume('}'))
-        return true;
-    do {
-        std::string key;
-        if (!parseString(c, key) || !c.consume(':'))
+    std::uint32_t seen = 0;
+    std::size_t next = 0;
+    if (!c.consume('}')) {
+        do {
+            std::string_view key;
+            if (!parseString(c, key, scratch) || !c.consume(':'))
+                return false;
+            const std::size_t i = fieldIndex(key, next);
+            bool good;
+            if (i < numFields) {
+                const Field &f = runResultFields[i];
+                if (f.str) {
+                    std::string_view s;
+                    good = parseString(c, s, scratch);
+                    if (good)
+                        (r.*f.str).assign(s);
+                } else if (f.flag) {
+                    good = parseBool(c, r.*f.flag);
+                } else if (f.count) {
+                    good = parseU64(c, r.*f.count);
+                } else {
+                    good = parseDouble(c, r.*f.real, scratch);
+                }
+                seen |= 1u << i;
+                next = i + 1;
+            } else if (std::uint64_t *slot = nullptr;
+                       profStageSlot(key, slot, r)) {
+                good = parseU64(c, *slot);
+            } else if (key == "prof_ticks") {
+                good = parseU64(c, r.profTicks);
+            } else if (key == "prof_cell_ns") {
+                good = parseU64(c, r.profCellNs);
+            } else {
+                good = skipValue(c, scratch);
+            }
+            if (!good)
+                return false;
+        } while (c.consume(','));
+        if (!c.consume('}'))
             return false;
-        if (!parseValueInto(c, key, r))
+    }
+    if (seen != allFieldsSeen)
+        return false;
+    if (!r.profTicks) {
+        if (r.profCellNs)
+            return false;
+        for (std::uint64_t ns : r.profStageNs) {
+            if (ns)
+                return false;
+        }
+    }
+    return true;
+}
+
+/** True if nothing but whitespace is left. */
+bool
+atTrailingWs(Cursor &c)
+{
+    c.skipWs();
+    return c.atEnd();
+}
+
+/**
+ * Parse a cache entry. @p material views the stored key material
+ * (into @p text, or into @p scratch when it had escapes).
+ */
+bool
+parseCacheEntry(std::string_view text, std::string_view &material,
+                std::string &materialScratch, RunResult &r)
+{
+    Cursor c{text.data(), text.data() + text.size()};
+    std::string scratch;
+    std::uint64_t version = 0;
+    bool sawMaterial = false, sawResult = false;
+    if (!c.consume('{'))
+        return false;
+    do {
+        std::string_view key;
+        if (!parseString(c, key, scratch) || !c.consume(':'))
+            return false;
+        bool good;
+        if (key == "v") {
+            good = parseU64(c, version);
+        } else if (key == "material") {
+            good = parseString(c, material, materialScratch);
+            sawMaterial = good;
+        } else if (key == "result") {
+            r = RunResult{};
+            good = parseRunResultObject(c, r, scratch);
+            sawResult = good;
+        } else {
+            good = skipValue(c, scratch);
+        }
+        if (!good)
             return false;
     } while (c.consume(','));
-    return c.consume('}');
+    return c.consume('}') && atTrailingWs(c) && version == 1 &&
+           sawMaterial && sawResult;
 }
 
 } // namespace
+
+std::string
+jsonEscape(const std::string &s)
+{
+    std::string out;
+    out.reserve(s.size());
+    appendEscaped(out, s);
+    return out;
+}
+
+std::string
+jsonDouble(double v)
+{
+    std::string out;
+    appendDouble(out, v);
+    return out;
+}
+
+std::string
+runResultToJson(const RunResult &r)
+{
+    std::string out;
+    out.reserve(512);
+    appendRunResult(out, r);
+    return out;
+}
 
 bool
 runResultFromJson(const std::string &json, RunResult &out)
 {
     Cursor c{json.data(), json.data() + json.size()};
     RunResult r;
-    if (!parseRunResultObject(c, r))
+    std::string scratch;
+    if (!parseRunResultObject(c, r, scratch) || !atTrailingWs(c))
         return false;
-    out = r;
+    out = std::move(r);
     return true;
 }
 
@@ -354,13 +564,12 @@ runResultFromJson(const std::string &json, RunResult &out)
 // list would let two different machines share one cache entry. The
 // size checks cannot prove the lists are complete, but they force a
 // human through this file whenever either struct changes shape —
-// update coreParamsKeyText (and, for RunResult, the JSON
-// writer/parser: parseValueInto tolerates missing keys, so an
-// unlisted new metric would re-parse from old cache entries as its
-// default) AND bump resultCacheCodeVersion (harness/sweep.hh) if the
-// change alters results. The sizes are ABI-specific, so the tripwire
-// is pinned to the toolchain CI enforces rather than breaking other
-// builds over std::string layout.
+// update coreParamsKeyText (and, for RunResult, runResultFields: the
+// reader requires every listed field, so an unlisted new metric would
+// never be written or read back) AND bump resultCacheCodeVersion
+// (harness/sweep.hh) if the change alters results. The sizes are
+// ABI-specific, so the tripwire is pinned to the toolchain CI enforces
+// rather than breaking other builds over std::string layout.
 #if defined(__GLIBCXX__) && defined(__x86_64__)
 static_assert(sizeof(CoreParams) == 272,
               "CoreParams changed: revisit coreParamsKeyText and the "
@@ -370,6 +579,8 @@ static_assert(sizeof(RunResult) == 288,
               "bump the result-cache code version");
 #endif
 
+// Runs once per distinct config (cellKey memoizes its output), so it
+// keeps the plain stream writer.
 std::string
 coreParamsKeyText(const CoreParams &p)
 {
@@ -442,48 +653,42 @@ coreParamsKeyText(const CoreParams &p)
 std::string
 cacheEntryToLine(const std::string &material, const RunResult &r)
 {
-    std::ostringstream os;
-    os << "{\"v\":1"
-       << ",\"material\":\"" << jsonEscape(material) << "\""
-       << ",\"result\":" << runResultToJson(r)
-       << "}\n";
-    return os.str();
+    std::string out;
+    out.reserve(material.size() + 576);
+    out += "{\"v\":1,\"material\":\"";
+    appendEscaped(out, material);
+    out += "\",\"result\":";
+    appendRunResult(out, r);
+    out += "}\n";
+    return out;
 }
 
 bool
 cacheEntryFromLine(const std::string &line, std::string &material,
                    RunResult &r)
 {
-    Cursor c{line.data(), line.data() + line.size()};
-    std::uint64_t version = 0;
-    std::string mat;
+    std::string_view mat;
+    std::string matScratch;
     RunResult res;
-    bool sawMaterial = false, sawResult = false;
-    if (!c.consume('{'))
+    if (!parseCacheEntry(line, mat, matScratch, res))
         return false;
-    do {
-        std::string key;
-        if (!parseString(c, key) || !c.consume(':'))
-            return false;
-        bool good;
-        if (key == "v") {
-            good = parseU64(c, version);
-        } else if (key == "material") {
-            good = parseString(c, mat);
-            sawMaterial = good;
-        } else if (key == "result") {
-            good = parseRunResultObject(c, res);
-            sawResult = good;
-        } else {
-            good = skipValue(c);
-        }
-        if (!good)
-            return false;
-    } while (c.consume(','));
-    if (!c.consume('}') || version != 1 || !sawMaterial || !sawResult)
+    material.assign(mat);
+    r = std::move(res);
+    return true;
+}
+
+bool
+cacheEntryMatches(std::string_view text, std::string_view material,
+                  RunResult &r)
+{
+    // Reused per thread: an escaped material decodes here without an
+    // allocation per probe.
+    thread_local std::string matScratch;
+    std::string_view mat;
+    RunResult res;
+    if (!parseCacheEntry(text, mat, matScratch, res) || mat != material)
         return false;
-    material = std::move(mat);
-    r = res;
+    r = std::move(res);
     return true;
 }
 

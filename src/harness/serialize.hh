@@ -7,10 +7,13 @@
  * same line to its clients, and --emit-cells writes it for CI diffs.
  * A result served from any of them must be byte-identical to a fresh
  * run, so every double is printed with %.17g (guaranteed lossless for
- * IEEE-754 binary64) and every integer as a full-width decimal. The
- * parser accepts exactly the flat two-level objects the writer emits —
- * it is a wire format written and read by this code base, not a
- * general JSON implementation.
+ * IEEE-754 binary64; std::to_chars(general, 17), no streams) and every
+ * integer as a full-width decimal. The parser accepts exactly the flat
+ * two-level objects the writer emits — it is a wire format written and
+ * read by this code base, not a general JSON implementation. It reads
+ * every number token whole with std::from_chars (a sign, a tail, or an
+ * out-of-range value rejects the line) and requires every field the
+ * writer always emits, so a corrupt line is rejected, never half-read.
  */
 
 #ifndef SVW_HARNESS_SERIALIZE_HH
@@ -18,6 +21,7 @@
 
 #include <cstddef>
 #include <string>
+#include <string_view>
 
 #include "harness/runner.hh"
 
@@ -65,6 +69,15 @@ std::string cacheEntryToLine(const std::string &material,
  * newline). @return false on malformed input or schema mismatch. */
 bool cacheEntryFromLine(const std::string &line, std::string &material,
                         RunResult &r);
+
+/**
+ * The result-cache hit check: parse the entry @p text in place and
+ * fill @p r only if it is well formed (as cacheEntryFromLine) and its
+ * stored material equals @p material. An escape-free stored material
+ * is compared where it lies, without a copy.
+ */
+bool cacheEntryMatches(std::string_view text, std::string_view material,
+                       RunResult &r);
 
 } // namespace svw::harness
 

@@ -1,12 +1,17 @@
 #include "harness/sweep.hh"
 
 #include <algorithm>
+#include <cerrno>
+#include <charconv>
 #include <chrono>
 #include <cstdio>
 #include <filesystem>
 #include <fstream>
-#include <sstream>
+#include <mutex>
+#include <string_view>
 
+#include <fcntl.h>
+#include <sys/stat.h>
 #include <unistd.h>
 
 #include "base/logging.hh"
@@ -136,6 +141,95 @@ SweepResults::failures() const
 // Persistent result cache
 // ---------------------------------------------------------------------------
 
+namespace {
+
+constexpr std::uint64_t fnvOffset = 14695981039346656037ull;
+constexpr std::uint64_t fnvPrime = 1099511628211ull;
+
+/** Continue an FNV-1a 64 hash over @p s. */
+std::uint64_t
+fnv1a(std::uint64_t h, std::string_view s)
+{
+    for (unsigned char ch : s) {
+        h ^= ch;
+        h *= fnvPrime;
+    }
+    return h;
+}
+
+/**
+ * The config-derived head of every cell key — the code version, the
+ * config label and the expanded CoreParams text — with the FNV-1a
+ * state after it. A sweep has many cells per config (fig5-fig8 at
+ * --families=all: 396 cells, 21 configs), so the head is derived once
+ * per distinct ExperimentConfig. The memo is keyed on the whole
+ * ExperimentConfig (its defaulted operator==), so a field added to the
+ * struct joins the identity without an edit here. Bounded at
+ * cellKeyMemoEntries: when full, the oldest entry is replaced.
+ */
+class KeyHeadMemo
+{
+  public:
+    /** Append @p cfg's head to @p out, reserving @p extra bytes more;
+     * @return the hash state after the head. */
+    std::uint64_t append(const ExperimentConfig &cfg, std::string &out,
+                         std::size_t extra)
+    {
+        {
+            std::lock_guard<std::mutex> lock(mutex_);
+            for (const Head &h : heads_) {
+                if (h.config == cfg)
+                    return emit(h, out, extra);
+            }
+        }
+        Head h{cfg, "version=", 0};
+        h.text += resultCacheCodeVersion;
+        h.text += "|label=";
+        h.text += configLabel(cfg);
+        h.text += '|';
+        h.text += coreParamsKeyText(buildParams(cfg));
+        h.hash = fnv1a(fnvOffset, h.text);
+        const std::uint64_t hash = emit(h, out, extra);
+        std::lock_guard<std::mutex> lock(mutex_);
+        if (heads_.size() < cellKeyMemoEntries) {
+            heads_.push_back(std::move(h));
+        } else {
+            heads_[victim_] = std::move(h);
+            victim_ = (victim_ + 1) % cellKeyMemoEntries;
+        }
+        return hash;
+    }
+
+  private:
+    struct Head
+    {
+        ExperimentConfig config;
+        std::string text;
+        std::uint64_t hash;
+    };
+
+    static std::uint64_t emit(const Head &h, std::string &out,
+                              std::size_t extra)
+    {
+        out.reserve(out.size() + h.text.size() + extra);
+        out += h.text;
+        return h.hash;
+    }
+
+    std::mutex mutex_;
+    std::vector<Head> heads_;
+    std::size_t victim_ = 0;  ///< next slot to replace once full
+};
+
+KeyHeadMemo &
+keyHeadMemo()
+{
+    static KeyHeadMemo memo;
+    return memo;
+}
+
+} // namespace
+
 std::string
 CellKey::fileName() const
 {
@@ -148,7 +242,6 @@ CellKey::fileName() const
 CellKey
 cellKey(const SweepCell &cell)
 {
-    std::ostringstream os;
     // The config *label* is keyed alongside the expanded CoreParams:
     // the cached RunResult embeds it, and two ExperimentConfigs can
     // normalize to identical machine knobs while labeling differently
@@ -156,26 +249,28 @@ cellKey(const SweepCell &cell)
     // serve a result stamped with the other experiment's name.
     // Intentional cross-figure sharing is unaffected: identical
     // ExperimentConfigs have identical labels.
-    os << "version=" << resultCacheCodeVersion
-       << "|workload=" << cell.workload
-       << "|insts=" << cell.targetInsts
-       << "|golden=" << (cell.goldenCheck ? 1 : 0)
-       << "|label=" << configLabel(cell.config)
-       << '|' << coreParamsKeyText(buildParams(cell.config))
-       // Content identity for workloads whose name is not a complete
-       // recipe (trace files); empty for every other workload, so
-       // existing cache entries stay valid.
-       << workloads::cacheKeyAugment(cell.workload);
-
+    //
+    // Content identity for workloads whose name is not a complete
+    // recipe (trace files) is derived afresh every time, never
+    // memoized: the file can change between sweeps. It is empty for
+    // every other workload.
+    const std::string augment = workloads::cacheKeyAugment(cell.workload);
     CellKey key;
-    key.material = os.str();
-    // FNV-1a 64.
-    std::uint64_t h = 14695981039346656037ull;
-    for (unsigned char ch : key.material) {
-        h ^= ch;
-        h *= 1099511628211ull;
-    }
-    key.hash = h;
+    std::string &m = key.material;
+    const std::uint64_t head = keyHeadMemo().append(
+        cell.config, m, 48 + cell.workload.size() + augment.size());
+    const std::size_t tail = m.size();
+    m += "|workload=";
+    m += cell.workload;
+    m += "|insts=";
+    char digits[24];
+    const auto res =
+        std::to_chars(digits, digits + sizeof(digits), cell.targetInsts);
+    m.append(digits, res.ptr);
+    m += "|golden=";
+    m += cell.goldenCheck ? '1' : '0';
+    m += augment;
+    key.hash = fnv1a(head, std::string_view(m).substr(tail));
     return key;
 }
 
@@ -221,31 +316,68 @@ ResultCache::collectTempLitter() const
     }
 }
 
+namespace {
+
+/** Entries are ~2 KB; a file past this bound is not one of ours. */
+constexpr std::size_t maxEntryBytes = 1u << 20;
+
+/** Read the whole entry file behind @p fd into @p buf (reused across
+ * calls); @return its length, or 0 on an error or an oversized file. */
+std::size_t
+readEntry(int fd, std::string &buf)
+{
+    if (buf.size() < 4096)
+        buf.resize(4096);
+    std::size_t len = 0;
+    for (;;) {
+        if (len == buf.size()) {
+            if (buf.size() >= maxEntryBytes)
+                return 0;
+            buf.resize(2 * buf.size());
+        }
+        const ssize_t n = ::read(fd, buf.data() + len, buf.size() - len);
+        if (n < 0 && errno == EINTR)
+            continue;
+        if (n <= 0)
+            return n < 0 ? 0 : len;
+        len += static_cast<std::size_t>(n);
+        // A short read of a regular file is its end, which saves the
+        // read that would return 0. Were it not, the entry would be
+        // cut short and fail to parse: a miss, never a wrong hit.
+        if (len < buf.size())
+            return len;
+    }
+}
+
+} // namespace
+
 bool
 ResultCache::get(const CellKey &key, RunResult &out) const
 {
+    // One open and one read per probe into per-thread buffers; the
+    // entry is parsed and its material checked in place.
+    thread_local std::string buf;
     const std::string path = dir_ + "/" + key.fileName();
-    std::ifstream in(path);
-    if (!in)
+    const int fd = ::open(path.c_str(), O_RDONLY | O_CLOEXEC);
+    if (fd < 0)
         return false;
-    std::string line;
-    if (!std::getline(in, line))
-        return false;
-    std::string material;
-    RunResult r;
-    if (!cacheEntryFromLine(line, material, r))
-        return false;  // corruption / foreign file: treat as a miss
-    if (material != key.material)
-        return false;  // hash collision: never serve a wrong result
-    out = std::move(r);
-    // Refresh the entry's access stamp so trimToBytes evicts genuinely
-    // cold entries first. mtime, not atime: most mounts are noatime/
-    // relatime, so atime is not a usable recency signal. Best effort —
-    // a read-only cache dir still serves hits, it just trims FIFO.
-    std::error_code ec;
-    std::filesystem::last_write_time(
-        path, std::filesystem::file_time_type::clock::now(), ec);
-    return true;
+    const std::size_t len = readEntry(fd, buf);
+    // A corrupt or foreign file, or a hash collision (the stored
+    // material differs), is a miss: never serve a wrong result.
+    const bool hit =
+        len > 0 && cacheEntryMatches(std::string_view(buf.data(), len),
+                                     key.material, out);
+    if (hit) {
+        // Refresh the entry's access stamp so trimToBytes evicts
+        // genuinely cold entries first. mtime, not atime: most mounts
+        // are noatime/relatime, so atime is not a usable recency
+        // signal. Best effort — a read-only cache dir still serves
+        // hits, it just trims FIFO.
+        const timespec stamp[2] = {{0, UTIME_OMIT}, {0, UTIME_NOW}};
+        (void)::futimens(fd, stamp);
+    }
+    ::close(fd);
+    return hit;
 }
 
 void

@@ -133,12 +133,14 @@ inline constexpr const char *resultCacheCodeVersion = "svw-sim-2";
 /**
  * Content-addressed identity of a cell's RunResult: a 64-bit FNV-1a
  * hash over the human-readable key material
- * (version | workload | insts | goldenCheck | full CoreParams text).
+ *   version=<v>|label=<config label>|<full CoreParams text>
+ *   |workload=<w>|insts=<n>|golden=<0|1>[<trace content identity>]
  * The material rides along so stores can embed it and lookups can
  * verify it — a hash collision degrades to a miss, never a wrong hit.
  * Group/label/baseline naming is deliberately NOT part of the key:
  * identical (workload, insts, config) cells share one entry across
- * figures.
+ * figures. The config-derived head comes first so that it, and the
+ * hash state after it, can be derived once per distinct config.
  */
 struct CellKey
 {
@@ -149,8 +151,15 @@ struct CellKey
     std::string fileName() const;
 };
 
+/** Distinct ExperimentConfigs whose key head cellKey keeps (see
+ * cellKey); past this, the oldest is derived again on its next use. */
+inline constexpr std::size_t cellKeyMemoEntries = 64;
+
 /** Derive the cache key for @p cell (expands the cell's
- * ExperimentConfig through buildParams so every machine knob counts). */
+ * ExperimentConfig through buildParams so every machine knob counts).
+ * The config-derived head is memoized per whole ExperimentConfig
+ * (thread-safe, at most cellKeyMemoEntries configs); the workload's
+ * trace content identity is read afresh on every call. */
 CellKey cellKey(const SweepCell &cell);
 
 /**
@@ -178,7 +187,10 @@ class ResultCache
 
     const std::string &dir() const { return dir_; }
 
-    /** @return true and fill @p out on a verified hit. */
+    /** @return true and fill @p out on a verified hit: the entry is
+     * well formed and its stored material equals key.material. One
+     * open and one read; a hit refreshes the entry's mtime through the
+     * same descriptor (futimens). */
     bool get(const CellKey &key, RunResult &out) const;
 
     /** Best-effort atomic store; I/O failures warn and drop the entry

@@ -43,6 +43,8 @@ struct SsbfParams
     unsigned granularityBytes = 8;   ///< conflict-tracking granule
     bool dualHash = false;           ///< Figure 8 "Bloom" configuration
     bool infinite = false;           ///< exact per-granule tracking
+
+    bool operator==(const SsbfParams &) const = default;
 };
 
 /**

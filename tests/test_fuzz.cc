@@ -17,6 +17,7 @@
 #include <cctype>
 #include <cstdio>
 #include <cstdlib>
+#include <fstream>
 #include <sstream>
 #include <stdexcept>
 #include <vector>
@@ -25,8 +26,10 @@
 #include "cpu/core.hh"
 #include "func/interp.hh"
 #include "harness/config.hh"
+#include "harness/figures.hh"
 #include "harness/runner.hh"
 #include "harness/serialize.hh"
+#include "harness/sweep.hh"
 #include "prog/builder.hh"
 #include "prog/synth.hh"
 #include "prog/trace.hh"
@@ -502,4 +505,141 @@ TEST(FuzzSquashRecovery, TracerNeverChangesARun)
             }
         }
     }
+}
+
+// ---------------------------------------------------------------------
+// Result-cache entry reader under seeded mutation: real fig5 entries
+// (each --quick --families=all cell's key material with its committed
+// snapshot result) take byte flips, truncations, splices, digit/letter
+// swaps and inserted quotes, backslashes and \u escapes. Nothing may
+// crash, a rejection leaves the outputs untouched, the in-place hit
+// check agrees with the copying reader, and every accepted line
+// round-trips through cacheEntryToLine to the same material and
+// RunResult. SVW_FUZZ_SEEDS widens it like the differential fuzz.
+// ---------------------------------------------------------------------
+
+namespace {
+
+std::vector<std::string>
+fig5CacheEntries()
+{
+    std::ifstream in(SVW_TEST_DATA_DIR "/fig_quick_cells.ndjson");
+    const FigureDef *fig = findFigure("fig5");
+    const SweepSpec spec = fig->build(
+        familySuite(Families::All, fig->paperSuite()), 20'000);
+    std::vector<std::string> entries;
+    std::string line;
+    for (std::size_t i = 0; i < spec.size() && std::getline(in, line);
+         ++i) {
+        RunResult r;
+        if (!runResultFromJson(line, r))
+            break;
+        entries.push_back(cacheEntryToLine(cellKey(spec.cell(i)).material, r));
+    }
+    return entries;
+}
+
+/** One random edit of @p s; @p donor supplies spliced bytes. */
+void
+mutateEntry(std::string &s, const std::string &donor, Random &rng)
+{
+    const std::size_t pos = rng.nextBounded(s.size() + 1);
+    switch (rng.nextBounded(5)) {
+      case 0:  // byte flip
+        if (pos < s.size())
+            s[pos] = static_cast<char>(s[pos] ^ (1 << rng.nextBounded(8)));
+        break;
+      case 1:  // truncation
+        s.resize(pos);
+        break;
+      case 2: {  // splice a run of another entry over this one
+        const std::size_t from = rng.nextBounded(donor.size());
+        const std::size_t len = rng.nextRange(1, 64);
+        const std::size_t cut = rng.nextBounded(64);
+        s.replace(pos, cut, donor.substr(from, len));
+        break;
+      }
+      case 3: {  // digit <-> letter swap at the next digit or letter
+        const std::size_t at = s.find_first_of(
+            "0123456789abcdefghijklmnopqrstuvwxyz", pos);
+        if (at == std::string::npos)
+            break;
+        const char c = s[at];
+        s[at] = std::isdigit(static_cast<unsigned char>(c))
+                    ? static_cast<char>('a' + (c - '0'))
+                    : static_cast<char>('0' + (c - 'a') % 10);
+        break;
+      }
+      default: {  // quotes, backslashes and \u escapes
+        static const char *const inserts[] = {
+            "\"", "\\", "\\u", "\\u00", "\\u0041", "\\u00ff",
+            "\\u0100", "\\uZZZZ", "\\\"", "\\n", "\\x", "\"\""};
+        s.insert(pos, inserts[rng.nextBounded(std::size(inserts))]);
+      }
+    }
+}
+
+} // namespace
+
+TEST(FuzzCacheEntryReader, MutatedEntriesRejectCleanlyOrRoundTrip)
+{
+    const std::vector<std::string> entries = fig5CacheEntries();
+    ASSERT_EQ(entries.size(), 110u) << "fig5 snapshot rows missing";
+    const RunResult sentinel = [] {
+        RunResult r;
+        r.workload = "sentinel";
+        r.cycles = 12345;
+        return r;
+    }();
+    const std::string sentinelJson = runResultToJson(sentinel);
+
+    std::size_t accepted = 0, rejected = 0;
+    const unsigned seeds = fuzzSeedCount();
+    for (unsigned seed = 1; seed <= seeds; ++seed) {
+        Random rng(0xcace0000ull + seed);
+        for (int trial = 0; trial < 200; ++trial) {
+            const std::size_t src = rng.nextBounded(entries.size());
+            std::string mutated = entries[src];
+            const std::size_t edits = rng.nextRange(1, 3);
+            for (std::size_t e = 0; e < edits; ++e) {
+                mutateEntry(mutated,
+                            entries[rng.nextBounded(entries.size())], rng);
+            }
+
+            std::string material = "untouched";
+            RunResult r = sentinel;
+            const bool ok = cacheEntryFromLine(mutated, material, r);
+            // The hit check against the source entry's own material.
+            std::string srcMaterial;
+            RunResult srcResult;
+            ASSERT_TRUE(cacheEntryFromLine(entries[src], srcMaterial,
+                                           srcResult));
+            RunResult viaMatch = sentinel;
+            const bool hit =
+                cacheEntryMatches(mutated, srcMaterial, viaMatch);
+            ASSERT_EQ(hit, ok && material == srcMaterial)
+                << "seed " << seed << " trial " << trial << ": "
+                << mutated;
+            if (!ok) {
+                ++rejected;
+                ASSERT_EQ(material, "untouched") << mutated;
+                ASSERT_EQ(runResultToJson(r), sentinelJson) << mutated;
+                ASSERT_EQ(runResultToJson(viaMatch), sentinelJson);
+                continue;
+            }
+            ++accepted;
+            if (hit)
+                ASSERT_EQ(runResultToJson(viaMatch), runResultToJson(r));
+            const std::string again = cacheEntryToLine(material, r);
+            std::string material2;
+            RunResult r2;
+            ASSERT_TRUE(cacheEntryFromLine(again, material2, r2))
+                << "accepted but not re-readable: " << mutated;
+            ASSERT_EQ(material2, material) << mutated;
+            ASSERT_EQ(runResultToJson(r2), runResultToJson(r)) << mutated;
+        }
+    }
+    // Both outcomes must be exercised, or the mutations test nothing.
+    EXPECT_GT(accepted, 0u);
+    EXPECT_GT(rejected, 0u);
 }

@@ -14,6 +14,7 @@
 #include <cstdio>
 #include <filesystem>
 #include <fstream>
+#include <sstream>
 #include <string>
 #include <vector>
 
@@ -21,6 +22,7 @@
 #include <unistd.h>
 
 #include "harness/executor.hh"
+#include "harness/figures.hh"
 #include "harness/serialize.hh"
 #include "harness/sweep.hh"
 #include "prog/trace.hh"
@@ -84,6 +86,42 @@ resultsJson(const SweepResults &res)
     for (std::size_t i = 0; i < res.spec().size(); ++i)
         out.push_back(runResultToJson(res.outcome(i).result));
     return out;
+}
+
+/**
+ * The cell key derived from first principles, with no memo: the
+ * layout sweep.hh documents, rendered with a stream, hashed with a
+ * plain FNV-1a 64. cellKey must agree with it byte for byte.
+ */
+CellKey
+referenceKey(const SweepCell &c)
+{
+    std::ostringstream os;
+    os << "version=" << resultCacheCodeVersion
+       << "|label=" << configLabel(c.config) << '|'
+       << coreParamsKeyText(buildParams(c.config))
+       << "|workload=" << c.workload << "|insts=" << c.targetInsts
+       << "|golden=" << (c.goldenCheck ? 1 : 0)
+       << workloads::cacheKeyAugment(c.workload);
+    CellKey k;
+    k.material = os.str();
+    std::uint64_t h = 14695981039346656037ull;
+    for (unsigned char ch : k.material) {
+        h ^= ch;
+        h *= 1099511628211ull;
+    }
+    k.hash = h;
+    return k;
+}
+
+/** cellKey(c) equals referenceKey(c); @p what names the cell. */
+void
+expectExactKey(const SweepCell &c, const std::string &what)
+{
+    const CellKey want = referenceKey(c);
+    const CellKey got = cellKey(c);
+    EXPECT_EQ(got.material, want.material) << what;
+    EXPECT_EQ(got.hash, want.hash) << what;
 }
 
 } // namespace
@@ -261,6 +299,76 @@ TEST(CellKey, TraceWorkloadKeyTracksFileContent)
     EXPECT_NE(k2.hash, k1.hash);
 }
 
+TEST(CellKey, MemoizedKeyEqualsReferenceDerivation)
+{
+    // Every cell of every registry figure over its paper and synth
+    // rows, each derived twice (the second from a warm memo).
+    std::size_t cells = 0;
+    for (const FigureDef &def : figureRegistry()) {
+        const SweepSpec spec = def.build(
+            familySuite(Families::All, def.paperSuite()), 20'000);
+        for (int pass = 0; pass < 2; ++pass) {
+            for (const SweepCell &c : spec.cells())
+                expectExactKey(c, std::string(def.name) + "/" + c.name());
+        }
+        cells += spec.size();
+    }
+    EXPECT_GE(cells, 396u);
+    const SweepSpec diff = synthDiffSpec(2, 2'000);
+    for (const SweepCell &c : diff.cells())
+        expectExactKey(c, "synthDiff/" + c.name());
+
+    // Golden check off must still be keyed.
+    SweepCell unchecked = makeCell("g", "l", "gzip", 5'000);
+    unchecked.goldenCheck = false;
+    expectExactKey(unchecked, "goldenCheck=false");
+}
+
+TEST(CellKey, MemoBoundEvictsWithoutChangingAnyKey)
+{
+    // Three times the memo's bound of distinct configs, derived in
+    // order and then in reverse: the early ones are evicted and
+    // derived again, and every key must stay exact throughout.
+    std::vector<SweepCell> cells;
+    for (std::size_t i = 0; i < 3 * cellKeyMemoEntries; ++i) {
+        SweepCell c = makeCell("g", "c" + std::to_string(i), "gzip", 5'000);
+        c.config.opt = OptMode::Ssq;
+        c.config.ssnBits = 8 + static_cast<unsigned>(i % 40);
+        c.config.ssbf.entries = 64u << (i / 40);
+        cells.push_back(c);
+    }
+    for (const SweepCell &c : cells)
+        expectExactKey(c, c.label);
+    for (auto it = cells.rbegin(); it != cells.rend(); ++it)
+        expectExactKey(*it, it->label + " (reverse)");
+    // Distinct configs keep distinct keys.
+    EXPECT_NE(cellKey(cells.front()).hash, cellKey(cells.back()).hash);
+}
+
+TEST(CellKey, TraceContentIsNeverMemoized)
+{
+    // The config head is memoized; a trace file's content identity is
+    // not. Rewriting the file between two derivations of the same cell
+    // must change the key, and each key must equal the reference.
+    TempDir dir;
+    const std::string path = dir.path + "/memo.svwtrace";
+    auto writeTrace = [&path](const std::string &kernel) {
+        Program prog = workloads::make(kernel, 2'000);
+        trace::writeFile(path, trace::record(prog, kernel, 100'000'000));
+    };
+    SweepCell cell = makeCell("g", "l", "trace:" + path, 2'000);
+    cell.config.opt = OptMode::Nlq;
+
+    writeTrace("gzip");
+    const CellKey k0 = cellKey(cell);
+    expectExactKey(cell, "first recording");
+    writeTrace("mcf");
+    const CellKey k1 = cellKey(cell);
+    expectExactKey(cell, "second recording");
+    EXPECT_NE(k0.hash, k1.hash);
+    EXPECT_NE(k0.material, k1.material);
+}
+
 TEST(CellKey, Cacheability)
 {
     SweepCell plain = makeCell("g", "l", "gzip", 2'000);
@@ -425,6 +533,58 @@ TEST(ResultCache, CorruptOrMismatchedEntriesDegradeToMisses)
                                 cold.outcome(0).result);
     }
     EXPECT_FALSE(ResultCache(dir.path).get(key, ignored));
+
+    // Corrupt fields: every number token is read whole, in range and
+    // unsigned where the field is, and a result lacking any field the
+    // writer always emits is rejected. Each edit is of the real entry.
+    const std::string good =
+        cacheEntryToLine(key.material, cold.outcome(0).result);
+    auto withField = [&good](const std::string &field,
+                             const std::string &value) {
+        const std::string tag = "\"" + field + "\":";
+        const std::size_t at = good.find(tag);
+        EXPECT_NE(at, std::string::npos) << field;
+        const std::size_t from = at + tag.size();
+        const std::size_t to = good.find_first_of(",}", from);
+        return good.substr(0, from) + value + good.substr(to);
+    };
+    auto without = [&good](const std::string &field) {
+        const std::size_t at = good.find(",\"" + field + "\":");
+        EXPECT_NE(at, std::string::npos) << field;
+        const std::size_t to = good.find_first_of(",}", at + 1);
+        return good.substr(0, at) + good.substr(to);
+    };
+    const std::pair<const char *, std::string> corrupt[] = {
+        {"negative count", withField("cycles", "-1")},
+        {"count with a tail", withField("cycles", "12abc")},
+        {"double with a tail", withField("ipc", "1.5xyz")},
+        {"count past 64 bits", withField("cycles", "18446744073709551616")},
+        {"count with a sign", withField("loads", "+5")},
+        {"bare non-finite double", withField("ipc", "inf")},
+        {"double out of range", withField("ipc", "1e999")},
+        {"bool spelled as a number", withField("halted", "0")},
+        {"missing count field", without("wrap_drains")},
+        {"missing double field", without("fsq_load_share")},
+        {"missing string field", without("config")},
+        {"trailing garbage", good + "{}"},
+    };
+    {
+        // The unedited entry is served, so each rejection below is the
+        // edit's doing.
+        std::ofstream(file, std::ios::trunc) << good;
+        RunResult r;
+        EXPECT_TRUE(ResultCache(dir.path).get(key, r));
+        EXPECT_EQ(runResultToJson(r), runResultToJson(cold.outcome(0).result));
+    }
+    for (const auto &[what, line] : corrupt) {
+        std::ofstream(file, std::ios::trunc) << line;
+        RunResult r;
+        r.cycles = 7;
+        EXPECT_FALSE(ResultCache(dir.path).get(key, r)) << what << ": " << line;
+        EXPECT_EQ(r.cycles, 7u) << what << ": a miss leaves the output alone";
+        std::string material;
+        EXPECT_FALSE(cacheEntryFromLine(line, material, r)) << what;
+    }
 }
 
 TEST(ResultCache, ConcurrentWritersNeverExposeAPartialEntry)
@@ -610,6 +770,17 @@ TEST(ResultCache, CacheEntryLineRoundTripsMaterialAndResult)
     EXPECT_EQ(back.cycles, r.cycles);
     EXPECT_EQ(back.ipc, r.ipc);
     EXPECT_EQ(back.workload, r.workload);
+
+    // The in-place hit check decodes an escaped stored material too,
+    // and a material that differs only at its end is a miss.
+    const std::string line = cacheEntryToLine(material, r);
+    RunResult hit;
+    EXPECT_TRUE(cacheEntryMatches(line, material, hit));
+    EXPECT_EQ(runResultToJson(hit), runResultToJson(r));
+    EXPECT_FALSE(cacheEntryMatches(line, material + "x", hit));
+    EXPECT_FALSE(cacheEntryMatches(
+        line, std::string_view(material).substr(0, material.size() - 1),
+        hit));
 
     std::string m;
     RunResult rr;

@@ -10,10 +10,14 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <cstdio>
+#include <cstring>
 #include <limits>
 #include <sstream>
 #include <stdexcept>
+#include <vector>
 
+#include "base/random.hh"
 #include "harness/executor.hh"
 #include "harness/figures.hh"
 #include "harness/report.hh"
@@ -146,6 +150,30 @@ TEST(SweepSerialize, NonFiniteDoublesAreValidJsonAndRoundTrip)
     RunResult junk;
     EXPECT_FALSE(
         runResultFromJson("{\"ipc\":\"NotANumberSpelledWrong\"}", junk));
+}
+
+TEST(SweepSerialize, JsonDoubleIsPrintfPrecision17)
+{
+    // The writer formats with to_chars(general, 17); the wire format
+    // (and every committed snapshot) is printf's %.17g. Random bit
+    // patterns cover normals, subnormals and both exponent forms.
+    Random rng(17);
+    std::vector<double> values = {0.0, -0.0, 1e-17, 0.1, 1e-5, 1e-4,
+                                  1e16, 1e17, 5e-324, 1.0 / 3.0,
+                                  std::numeric_limits<double>::max(),
+                                  std::numeric_limits<double>::min()};
+    for (int i = 0; i < 20'000; ++i) {
+        const std::uint64_t bits = rng.next();
+        double v;
+        std::memcpy(&v, &bits, sizeof(v));
+        if (std::isfinite(v))
+            values.push_back(v);
+    }
+    for (double v : values) {
+        char want[40];
+        std::snprintf(want, sizeof(want), "%.17g", v);
+        ASSERT_EQ(jsonDouble(v), want);
+    }
 }
 
 TEST(SweepProgramCache, BuildsEachProgramOnce)

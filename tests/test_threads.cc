@@ -3,8 +3,9 @@
  * Worker-thread executor tests (--threads=N): the byte-identity
  * invariant across the sequential path and every thread width; the
  * shared-ProgramCache build-once guarantee; the in-memory ResultCache
- * front short-circuiting runCell without touching the disk store; and
- * exception containment per cell at every thread count.
+ * front short-circuiting runCell without touching the disk store;
+ * exception containment per cell at every thread count; and the cell
+ * key's config memo under concurrent derivation.
  */
 
 #include <gtest/gtest.h>
@@ -13,6 +14,7 @@
 #include <filesystem>
 #include <stdexcept>
 #include <string>
+#include <thread>
 #include <vector>
 
 #include "harness/executor.hh"
@@ -240,4 +242,45 @@ TEST(ThreadPool, CallbackExceptionPropagates)
         throw std::runtime_error("callback boom");
     };
     EXPECT_THROW(runSweep(spec, opts), std::runtime_error);
+}
+
+/**
+ * cellKey's config-head memo is shared by every thread that derives
+ * keys. Four threads derive keys over more distinct configs than the
+ * memo holds, each in its own order, so lookups, inserts and evictions
+ * race; every key must equal the one derived alone afterwards.
+ */
+TEST(ThreadPool, CellKeyMemoIsExactUnderConcurrentDerivation)
+{
+    std::vector<SweepCell> cells;
+    for (std::size_t i = 0; i < 2 * cellKeyMemoEntries; ++i) {
+        SweepCell c = makeCell("g", std::to_string(i), "gzip", 3'000);
+        c.config.opt = OptMode::Nlq;
+        c.config.ssnBits = 100 + static_cast<unsigned>(i);
+        cells.push_back(c);
+    }
+    constexpr unsigned kThreads = 4;
+    std::vector<std::vector<CellKey>> keys(kThreads);
+    std::vector<std::thread> threads;
+    for (unsigned t = 0; t < kThreads; ++t) {
+        threads.emplace_back([&cells, &keys, t] {
+            keys[t].resize(cells.size());
+            for (int round = 0; round < 3; ++round) {
+                for (std::size_t j = 0; j < cells.size(); ++j) {
+                    // Thread t walks the cells with stride 2t+1.
+                    const std::size_t i = (j * (2 * t + 1)) % cells.size();
+                    keys[t][i] = cellKey(cells[i]);
+                }
+            }
+        });
+    }
+    for (std::thread &th : threads)
+        th.join();
+    for (std::size_t i = 0; i < cells.size(); ++i) {
+        const CellKey alone = cellKey(cells[i]);
+        for (unsigned t = 0; t < kThreads; ++t) {
+            EXPECT_EQ(keys[t][i].material, alone.material) << i;
+            EXPECT_EQ(keys[t][i].hash, alone.hash) << i;
+        }
+    }
 }
