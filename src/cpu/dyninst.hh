@@ -200,7 +200,7 @@ struct DynInst
  * The hot-record budget: two cache lines. Growing past it silently
  * multiplies across the ROB ring, fetch queue, and every pointer walk —
  * move the new field to DynInstCold instead (or argue the budget up
- * here *and* in docs/ARCHITECTURE.md, and re-measure perf_hotloop).
+ * here *and* in docs/ARCHITECTURE.md, and re-measure with perfbench).
  */
 static_assert(sizeof(DynInst) <= 128,
               "DynInst hot record exceeds its 128-byte budget");

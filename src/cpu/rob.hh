@@ -122,15 +122,18 @@ class ROB
     }
 
     /** Find by sequence number; O(1) when seqs are dense from the head.
-     * nullptr if absent (younger, older, or squashed out). */
-    DynInst *findBySeq(InstSeqNum seq)
+     * nullptr if absent (younger, older, or squashed out). This and
+     * lowerBound are always inlined: they sit on the per-cycle drain
+     * paths, and under LTO their inlining otherwise moves with the size
+     * of the whole program. */
+    [[gnu::always_inline]] DynInst *findBySeq(InstSeqNum seq)
     {
         DynInst *inst = lowerBound(seq);
         return inst && inst->seq == seq ? inst : nullptr;
     }
 
     /** First entry with seq >= @p seq (nullptr if none). */
-    DynInst *lowerBound(InstSeqNum seq)
+    [[gnu::always_inline]] DynInst *lowerBound(InstSeqNum seq)
     {
         if (count == 0)
             return nullptr;

@@ -29,7 +29,6 @@
 
 #include <atomic>
 #include <cstdint>
-#include <functional>
 #include <list>
 #include <map>
 #include <mutex>
@@ -96,13 +95,6 @@ struct SweepOptions
      * result cache entirely (no probes, no stores).
      */
     bool profile = false;
-    /**
-     * Progress callback, invoked on the driving thread as each cell
-     * outcome is recorded (completion order with worker threads; spec
-     * order without). Long sweeps stream per-cell status through this.
-     */
-    std::function<void(std::size_t cellIndex, const CellOutcome &)>
-        onCellDone;
 };
 
 /** Monotonic host wall-clock seconds (arbitrary origin). */
@@ -130,14 +122,9 @@ class ExecCounters
     std::atomic<std::uint64_t> cellRuns_{0};
 };
 
-/** The calling process's executor counters. */
+/** The calling process's executor counters. A fully warm-cache sweep
+ * serves every cell from a cache, so it leaves cellRuns() unchanged. */
 ExecCounters &execCounters();
-
-/** Count of cell executions in this process (runCell invocations,
- * worker threads included). Test instrumentation: a fully warm-cache
- * sweep serves every cell from a cache, so it must leave the count
- * unchanged. Accessor for execCounters().cellRuns(). */
-std::uint64_t runCellCalls();
 
 /**
  * Per-process cache of built workload programs: each (workload,

@@ -129,8 +129,6 @@ SweepSession::record(std::size_t idx, CellOutcome o, CellEventKind kind)
         ++failures_;
     if (kind == CellEventKind::CachedHit)
         ++cacheHits_;
-    if (opts_.onCellDone)
-        opts_.onCellDone(idx, out);
     emit(kind, idx, &out);
 }
 
@@ -388,7 +386,7 @@ SweepSession::finish()
     joinWorkers();
     drainCompletions();
     storeFreshResults();
-    return SweepResults(spec_, std::move(outcomes_));
+    return SweepResults(std::move(spec_), std::move(outcomes_));
 }
 
 // ---------------------------------------------------------------------------

@@ -28,10 +28,10 @@
  *
  * Every path contains exceptions per cell: a cell that throws is
  * recorded as failed with the exception text, and the sweep goes on
- * (a long-lived daemon must outlive a golden-model mismatch). A
- * callback that throws (onCellDone or the event callback) escapes
- * step() and so run(). abort() discards not-yet-started cells, so a
- * disconnected client stops costing simulation time.
+ * (a long-lived daemon must outlive a golden-model mismatch). An
+ * event callback that throws escapes step() and so run(). abort()
+ * discards not-yet-started cells, so a disconnected client stops
+ * costing simulation time.
  *
  * Determinism: outcomes depend only on the cells, so the merged
  * results are byte-identical across driving styles and thread counts
@@ -87,14 +87,14 @@ using SessionCallback = std::function<void(const CellEvent &)>;
 class SweepSession
 {
   public:
-    /** The session owns a copy of @p spec (cells, hooks, and all). */
+    /** The session owns a copy of @p spec (cells, hooks, and all)
+     * until finish() moves it into the results. */
     SweepSession(SweepSpec spec, SweepOptions opts);
     ~SweepSession();
 
     SweepSession(const SweepSession &) = delete;
     SweepSession &operator=(const SweepSession &) = delete;
 
-    const SweepSpec &spec() const { return spec_; }
     const SweepOptions &options() const { return opts_; }
 
     /** Run the whole sweep (blocking) and return merged results:
@@ -132,7 +132,8 @@ class SweepSession
     void abort();
 
     /** Join workers, drain remaining events, write fresh results to
-     * the caches, and return the merged results. Terminal. */
+     * the caches, and return the merged results, which take over the
+     * session's spec. Terminal. */
     SweepResults finish();
 
     // -- Progress -----------------------------------------------------

@@ -2,7 +2,7 @@
  * @file
  * Declarative figure sweeps.
  *
- * Every paper figure (and ablation, and the perf tracker) is a
+ * Every paper figure (and ablation, and extension) is a
  * (workload x configuration) grid of independent cells. A SweepSpec
  * names each cell up front — its group (figure row, usually the
  * workload), column label, workload, instruction budget, configuration,
@@ -43,17 +43,6 @@ struct SweepCell
     ExperimentConfig config{};
     bool baseline = false;    ///< the group's speedup reference
     bool goldenCheck = true;  ///< cross-check against the interpreter
-    /** Timing repetitions (perf tracking); metrics are identical across
-     * reps, the executor reports the best rep's wall time. */
-    unsigned timingReps = 1;
-    /**
-     * Opt out of the persistent result cache even when the sweep runs
-     * with one. Spec builders set this on cells whose *wall time* is
-     * the product (perf tracking): a cached cell reports zero seconds,
-     * which would silently poison a throughput trajectory. timingReps
-     * > 1 implies the same exclusion; this flag covers --reps=1.
-     */
-    bool neverCache = false;
     /** Optional per-cycle hook (invalidation injectors). Runs on the
      * thread executing the cell. */
     std::function<void(Core &)> hook;
@@ -107,11 +96,10 @@ struct CellOutcome
     bool ran = false;  ///< selected by the shard and attempted
     bool ok = false;   ///< completed; result is valid
     /** Served from the persistent ResultCache: no simulation ran and
-     * the timing fields are zero. */
+     * seconds is zero. */
     bool cached = false;
     std::string error; ///< failure description when !ok
-    double seconds = 0.0;          ///< best timing rep (host wall)
-    double hostWallSeconds = 0.0;  ///< total host wall across reps
+    double seconds = 0.0;  ///< host wall time of the cell's run
     RunResult result{};
 };
 
@@ -165,8 +153,7 @@ CellKey cellKey(const SweepCell &cell);
 /**
  * True when the cell's outcome is a pure function of its key: no
  * injected per-cycle hook (hooks perturb the simulation and cannot be
- * serialized) and no timing repetitions (perf cells exist to measure
- * *this* host run's wall time). Non-cacheable cells always execute.
+ * serialized). Non-cacheable cells always execute.
  */
 bool cellCacheable(const SweepCell &cell);
 

@@ -155,6 +155,35 @@ LoadStoreUnit::commitLoad(const DynInst &load)
 }
 
 void
+LoadStoreUnit::enterFwdBuf(const DynInst &store)
+{
+    // The committed store enters its bank's best-effort forwarding
+    // buffer (an 8-entry window in front of the cache bank).
+    // A hit in this buffer is served without re-execution whenever
+    // the SVW filter clears the load, so entries must stay equal to
+    // committed memory: any older entry this store overlaps is now
+    // stale and is dropped (both banks — the overlap can cross the
+    // bank interleave even though the new entry lands in one).
+    for (auto &b : fwdBufs) {
+        std::erase_if(b, [&store](const FwdBufEntry &e) {
+            return e.addr < store.addr + store.size &&
+                   store.addr < e.addr + e.size;
+        });
+    }
+    const unsigned bank = static_cast<unsigned>(store.addr >> 6) & 1;
+    auto &buf = fwdBufs[bank];
+    if (buf.size() >= prm.fwdBufEntriesPerBank)
+        buf.pop_front();
+    // The entry holds the bytes the store wrote, not the raw source
+    // register: an exact addr/size hit is served unmasked, and a
+    // sub-8-byte store's high register bits are not memory content.
+    std::uint64_t data = store.storeData;
+    if (store.size < 8)
+        data &= (std::uint64_t(1) << (8 * store.size)) - 1;
+    buf.push_back(FwdBufEntry{store.addr, store.size, data});
+}
+
+void
 LoadStoreUnit::commitStore(const DynInst &store)
 {
     svw_assert(!sq.empty() && sq.front()->seq == store.seq,
@@ -163,32 +192,8 @@ LoadStoreUnit::commitStore(const DynInst &store)
     sqm.pop_front();
     if (sqWake)
         sqWake->wakeSq(store.seq);
-    if (prm.ssq) {
-        // The committed store enters its bank's best-effort forwarding
-        // buffer (an 8-entry window in front of the cache bank).
-        // A hit in this buffer is served without re-execution whenever
-        // the SVW filter clears the load, so entries must stay equal to
-        // committed memory: any older entry this store overlaps is now
-        // stale and is dropped (both banks — the overlap can cross the
-        // bank interleave even though the new entry lands in one).
-        for (auto &b : fwdBufs) {
-            std::erase_if(b, [&store](const FwdBufEntry &e) {
-                return e.addr < store.addr + store.size &&
-                       store.addr < e.addr + e.size;
-            });
-        }
-        const unsigned bank = static_cast<unsigned>(store.addr >> 6) & 1;
-        auto &buf = fwdBufs[bank];
-        if (buf.size() >= prm.fwdBufEntriesPerBank)
-            buf.pop_front();
-        // The entry holds the bytes the store wrote, not the raw source
-        // register: an exact addr/size hit is served unmasked, and a
-        // sub-8-byte store's high register bits are not memory content.
-        std::uint64_t data = store.storeData;
-        if (store.size < 8)
-            data &= (std::uint64_t(1) << (8 * store.size)) - 1;
-        buf.push_back(FwdBufEntry{store.addr, store.size, data});
-    }
+    if (prm.ssq)
+        enterFwdBuf(store);
     if (store.fsqStore) {
         // The FSQ is an age-ordered subset of the SQ: the oldest store
         // is its head too.

@@ -136,7 +136,9 @@ class LoadStoreUnit
 
     // --- retirement / squash --------------------------------------------
     void commitLoad(const DynInst &load);
-    void commitStore(const DynInst &store);
+    /** Never inlined, so its code (and enterFwdBuf's call) stays the
+     * same whatever the size of the LTO unit around it. */
+    [[gnu::noinline]] void commitStore(const DynInst &store);
     void squashAfter(InstSeqNum keepSeq);
 
     // --- SSQ steering predictor ------------------------------------------
@@ -215,6 +217,15 @@ class LoadStoreUnit
         bool addrOk = false;
         bool dataOk = false;
     };
+
+    /**
+     * Enter committed @p store into its bank's forwarding buffer (see
+     * commitStore). Flattened, so the deque's iterator and erase
+     * internals are always inlined into it, and never inlined itself:
+     * under LTO both choices otherwise move with the size of the whole
+     * program.
+     */
+    [[gnu::flatten, gnu::noinline]] void enterFwdBuf(const DynInst &store);
 
     /** Block @p res on store @p storeSeq. lsu.partialBlocks counts
      * each (load, blocking store) episode once, however many times the

@@ -255,7 +255,7 @@ SweepServer::statusJson() const
     j += "\"programBuilds\":" +
         std::to_string(harness::processProgramCache().builds());
     j += ",\"runCellCalls\":" +
-        std::to_string(harness::runCellCalls());
+        std::to_string(harness::execCounters().cellRuns());
     j += ",\"memCacheEntries\":" + std::to_string(mem.entries());
     j += ",\"memCacheBytes\":" + std::to_string(mem.bytes());
     j += ",\"memCacheMaxBytes\":" + std::to_string(mem.maxBytes());

@@ -168,8 +168,8 @@ TEST(Profile, FoldedOutputIsDeterministicAndParses)
 TEST(Profile, StageTaxonomyIsStable)
 {
     // The names are wire format (folded frames, prof_* JSON keys,
-    // BENCH_hotloop.json attribution); renaming one breaks downstream
-    // diffing, so pin the taxonomy.
+    // perfbench's cpu.stage.*_share metrics); renaming one breaks
+    // downstream diffing, so pin the taxonomy.
     EXPECT_STREQ(prof::stageName(prof::Commit), "commit");
     EXPECT_STREQ(prof::stageName(prof::Rex), "rex");
     EXPECT_STREQ(prof::stageName(prof::Complete), "complete");

@@ -377,15 +377,6 @@ TEST(CellKey, Cacheability)
     SweepCell hooked = plain;
     hooked.hook = [](Core &) {};
     EXPECT_FALSE(cellCacheable(hooked));
-
-    SweepCell timed = plain;
-    timed.timingReps = 3;
-    EXPECT_FALSE(cellCacheable(timed));
-
-    // A spec builder can opt out explicitly (perf cells at --reps=1).
-    SweepCell optOut = plain;
-    optOut.neverCache = true;
-    EXPECT_FALSE(cellCacheable(optOut));
 }
 
 TEST(ResultCache, ColdPopulatesWarmServesByteIdenticalWithZeroRuns)
@@ -401,9 +392,9 @@ TEST(ResultCache, ColdPopulatesWarmServesByteIdenticalWithZeroRuns)
     SweepOptions opts;
     opts.cacheDir = dir.path;
 
-    const std::uint64_t calls0 = runCellCalls();
+    const std::uint64_t calls0 = execCounters().cellRuns();
     const SweepResults cold = runSweep(spec, opts);
-    EXPECT_EQ(runCellCalls() - calls0, spec.size());
+    EXPECT_EQ(execCounters().cellRuns() - calls0, spec.size());
     for (std::size_t i = 0; i < spec.size(); ++i) {
         EXPECT_TRUE(cold.outcome(i).ok);
         EXPECT_FALSE(cold.outcome(i).cached);
@@ -414,9 +405,9 @@ TEST(ResultCache, ColdPopulatesWarmServesByteIdenticalWithZeroRuns)
             dir.path + "/" + cellKey(spec.cell(i)).fileName()));
     }
 
-    const std::uint64_t calls1 = runCellCalls();
+    const std::uint64_t calls1 = execCounters().cellRuns();
     const SweepResults warm = runSweep(spec, opts);
-    EXPECT_EQ(runCellCalls() - calls1, 0u) << "warm run simulated";
+    EXPECT_EQ(execCounters().cellRuns() - calls1, 0u) << "warm run simulated";
     for (std::size_t i = 0; i < spec.size(); ++i) {
         EXPECT_TRUE(warm.outcome(i).ok);
         EXPECT_TRUE(warm.outcome(i).cached);
@@ -426,9 +417,9 @@ TEST(ResultCache, ColdPopulatesWarmServesByteIdenticalWithZeroRuns)
     // Worker threads serve hits identically (nothing left to deal).
     SweepOptions par = opts;
     par.threads = 4;
-    const std::uint64_t calls2 = runCellCalls();
+    const std::uint64_t calls2 = execCounters().cellRuns();
     const SweepResults warmPar = runSweep(spec, par);
-    EXPECT_EQ(runCellCalls() - calls2, 0u);
+    EXPECT_EQ(execCounters().cellRuns() - calls2, 0u);
     EXPECT_EQ(resultsJson(cold), resultsJson(warmPar));
 }
 
@@ -452,16 +443,16 @@ TEST(ResultCache, AnyInputChangeMissesOnlyThatCell)
         changed.add(base);
         changed.add(nlq);
     }
-    const std::uint64_t calls0 = runCellCalls();
+    const std::uint64_t calls0 = execCounters().cellRuns();
     const SweepResults res = runSweep(changed, opts);
-    EXPECT_EQ(runCellCalls() - calls0, 1u);
+    EXPECT_EQ(execCounters().cellRuns() - calls0, 1u);
     EXPECT_FALSE(res.outcome(changed.index("crafty", "NLQ")).cached);
     EXPECT_TRUE(res.outcome(changed.index("gzip", "NLQ")).cached);
 
     // An insts change misses every cell.
-    const std::uint64_t calls1 = runCellCalls();
+    const std::uint64_t calls1 = execCounters().cellRuns();
     runSweep(smallSpec(2'000), opts);
-    EXPECT_EQ(runCellCalls() - calls1, smallSpec(2'000).size());
+    EXPECT_EQ(execCounters().cellRuns() - calls1, smallSpec(2'000).size());
 }
 
 TEST(ResultCache, DisabledAndNonCacheableCellsAlwaysRun)
@@ -473,26 +464,22 @@ TEST(ResultCache, DisabledAndNonCacheableCellsAlwaysRun)
 
     // Empty cacheDir (the --no-cache mapping) bypasses a warm store.
     SweepOptions off;
-    const std::uint64_t calls0 = runCellCalls();
+    const std::uint64_t calls0 = execCounters().cellRuns();
     const SweepResults res = runSweep(smallSpec(), off);
-    EXPECT_EQ(runCellCalls() - calls0, smallSpec().size());
+    EXPECT_EQ(execCounters().cellRuns() - calls0, smallSpec().size());
     for (std::size_t i = 0; i < res.spec().size(); ++i)
         EXPECT_FALSE(res.outcome(i).cached);
 
-    // Hooked / timing cells run even with a warm cache directory.
+    // Hooked cells run even with a warm cache directory.
     SweepSpec hooked("hooked");
     SweepCell h = makeCell("g", "h", "gzip", 3'000, true);
     h.hook = [](Core &) {};
     hooked.add(h);
-    SweepCell t = makeCell("g", "t", "gzip", 3'000);
-    t.timingReps = 2;
-    hooked.add(t);
     for (int round = 0; round < 2; ++round) {
-        const std::uint64_t c0 = runCellCalls();
+        const std::uint64_t c0 = execCounters().cellRuns();
         const SweepResults r = runSweep(hooked, cached);
-        EXPECT_EQ(runCellCalls() - c0, 2u) << "round " << round;
+        EXPECT_EQ(execCounters().cellRuns() - c0, 1u) << "round " << round;
         EXPECT_FALSE(r.outcome(0).cached);
-        EXPECT_FALSE(r.outcome(1).cached);
     }
 }
 
@@ -519,9 +506,9 @@ TEST(ResultCache, CorruptOrMismatchedEntriesDegradeToMisses)
     // would serve the corrupted cell without ever reading (or healing)
     // the disk entry — drop it so the heal path is what runs.
     processMemoryResultCache().clear();
-    const std::uint64_t c0 = runCellCalls();
+    const std::uint64_t c0 = execCounters().cellRuns();
     const SweepResults healed = runSweep(spec, opts);
-    EXPECT_EQ(runCellCalls() - c0, 1u);
+    EXPECT_EQ(execCounters().cellRuns() - c0, 1u);
     EXPECT_EQ(resultsJson(cold), resultsJson(healed));
     EXPECT_TRUE(ResultCache(dir.path).get(key, ignored));
 

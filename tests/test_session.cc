@@ -195,7 +195,7 @@ TEST(SweepSession, WarmMemoryCacheServesCachedHitsWithoutSimulating)
     opts.memCache = true;
 
     const SweepResults cold = SweepSession(spec, opts).run();
-    const std::uint64_t callsAfterCold = runCellCalls();
+    const std::uint64_t callsAfterCold = execCounters().cellRuns();
 
     Recorder rec;
     SweepSession warm(spec, opts);
@@ -203,7 +203,7 @@ TEST(SweepSession, WarmMemoryCacheServesCachedHitsWithoutSimulating)
     EXPECT_TRUE(warm.finished());  // every cell probed out of memory
     const SweepResults res = warm.finish();
 
-    EXPECT_EQ(runCellCalls(), callsAfterCold);
+    EXPECT_EQ(execCounters().cellRuns(), callsAfterCold);
     EXPECT_EQ(rec.count(CellEventKind::CachedHit), spec.size());
     EXPECT_EQ(warm.cacheHits(), spec.size());
     EXPECT_EQ(resultLines(cold), resultLines(res));

@@ -230,12 +230,12 @@ TEST_F(SweepdTest, WarmRepeatRequestSimulatesNothing)
     const std::string req = "figure=fig6&insts=9000&bench=mcf";
     const std::string cold = postSweep(port(), req);
     const std::string coldBody = decodeChunkedBody(cold);
-    const std::uint64_t callsAfterCold = harness::runCellCalls();
+    const std::uint64_t callsAfterCold = harness::execCounters().cellRuns();
     ASSERT_FALSE(streamResultLines(coldBody).empty());
 
     const std::string warm = postSweep(port(), req);
     const std::string warmBody = decodeChunkedBody(warm);
-    EXPECT_EQ(harness::runCellCalls(), callsAfterCold)
+    EXPECT_EQ(harness::execCounters().cellRuns(), callsAfterCold)
         << "warm repeat re-simulated cells";
     EXPECT_NE(warmBody.find("\"event\":\"cached\""), std::string::npos);
     EXPECT_EQ(warmBody.find("\"event\":\"done\""), std::string::npos);
@@ -276,7 +276,7 @@ TEST_F(SweepdTest, ConcurrentClientsEachGetCompleteStreams)
 
 TEST_F(SweepdTest, MidStreamDisconnectAbortsOnlyThatSession)
 {
-    const std::uint64_t callsBefore = harness::runCellCalls();
+    const std::uint64_t callsBefore = harness::execCounters().cellRuns();
 
     // A full-suite sweep (80 cells) the client walks away from after
     // the first bytes arrive.
@@ -305,7 +305,7 @@ TEST_F(SweepdTest, MidStreamDisconnectAbortsOnlyThatSession)
     EXPECT_TRUE(aborted);
 
     // Abort discarded pending units: nowhere near all 80 cells ran.
-    EXPECT_LT(harness::runCellCalls() - callsBefore, 40u);
+    EXPECT_LT(harness::execCounters().cellRuns() - callsBefore, 40u);
 
     // And an unrelated request still completes.
     const std::string ok =

@@ -4,8 +4,9 @@
  * invariant across the sequential path and every thread width; the
  * shared-ProgramCache build-once guarantee; the in-memory ResultCache
  * front short-circuiting runCell without touching the disk store;
- * exception containment per cell at every thread count; and the cell
- * key's config memo under concurrent derivation.
+ * exception containment per cell at every thread count; a throwing
+ * event callback escaping to the caller; and the cell key's config
+ * memo under concurrent derivation.
  */
 
 #include <gtest/gtest.h>
@@ -20,6 +21,7 @@
 #include "harness/executor.hh"
 #include "harness/figures.hh"
 #include "harness/serialize.hh"
+#include "harness/session.hh"
 #include "harness/sweep.hh"
 #include "prog/workloads/workloads.hh"
 
@@ -161,9 +163,9 @@ TEST(ThreadPool, MemoryResultCacheHitShortCircuitsRunCellAndDisk)
     fs::create_directories(dir.path);
 
     const std::uint64_t hits0 = processMemoryResultCache().hits();
-    const std::uint64_t calls0 = runCellCalls();
+    const std::uint64_t calls0 = execCounters().cellRuns();
     const SweepResults warm = runSweep(spec, opts);
-    EXPECT_EQ(runCellCalls() - calls0, 0u) << "warm run simulated";
+    EXPECT_EQ(execCounters().cellRuns() - calls0, 0u) << "warm run simulated";
     EXPECT_EQ(processMemoryResultCache().hits() - hits0, spec.size());
     for (std::size_t i = 0; i < spec.size(); ++i) {
         EXPECT_TRUE(warm.outcome(i).ok);
@@ -177,9 +179,9 @@ TEST(ThreadPool, MemoryResultCacheHitShortCircuitsRunCellAndDisk)
 
     // The front is only consulted when a sweep opts into caching: with
     // no cacheDir the same cells simulate from scratch.
-    const std::uint64_t calls1 = runCellCalls();
+    const std::uint64_t calls1 = execCounters().cellRuns();
     const SweepResults uncached = runSweep(spec, SweepOptions{});
-    EXPECT_EQ(runCellCalls() - calls1, spec.size());
+    EXPECT_EQ(execCounters().cellRuns() - calls1, spec.size());
     EXPECT_EQ(resultsJson(uncached), resultsJson(cold));
 }
 
@@ -229,8 +231,9 @@ TEST(ThreadPool, WorkerExceptionFailsOnlyItsCell)
     }
 }
 
-/** An onCellDone callback that throws escapes run() to the caller;
- * the session's destructor stops and joins the workers. */
+/** An event callback that throws on a worker-run cell's Done event
+ * escapes SweepSession::run() to the caller; the session's destructor
+ * stops and joins the workers. */
 TEST(ThreadPool, CallbackExceptionPropagates)
 {
     SweepSpec spec("cb-throw");
@@ -238,10 +241,12 @@ TEST(ThreadPool, CallbackExceptionPropagates)
 
     SweepOptions opts;
     opts.threads = 2;
-    opts.onCellDone = [](std::size_t, const CellOutcome &) {
-        throw std::runtime_error("callback boom");
+    SweepSession session(spec, opts);
+    const SessionCallback cb = [](const CellEvent &ev) {
+        if (ev.kind == CellEventKind::Done)
+            throw std::runtime_error("callback boom");
     };
-    EXPECT_THROW(runSweep(spec, opts), std::runtime_error);
+    EXPECT_THROW(session.run(cb), std::runtime_error);
 }
 
 /**
